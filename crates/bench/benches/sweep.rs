@@ -235,7 +235,7 @@ fn bench_scale_ranks(c: &mut Criterion) {
 /// Sharded-master series: the scale workload at 1k workers under 1, 2,
 /// and 4 master shards (WW-List), reported as engine events/sec so the
 /// gate holds a throughput floor per shard count. The masters=1 entry
-/// runs the unchanged single-master path — pinning it next to the
+/// runs the single-master loop — pinning it next to the
 /// sharded entries keeps the shard machinery honest about its overhead.
 fn bench_shards(c: &mut Criterion) {
     use s3a_workload::WorkloadParams;

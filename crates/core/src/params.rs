@@ -4,6 +4,7 @@
 use s3a_des::SimTime;
 use s3a_faults::FaultParams;
 use s3a_mpi::MpiConfig;
+use s3a_mpiio::WriteMethod;
 use s3a_net::{Bandwidth, NetConfig};
 use s3a_pvfs::PvfsConfig;
 use s3a_workload::{ArrivalProcess, WorkloadParams};
@@ -72,6 +73,18 @@ impl Strategy {
     /// each batch's I/O regardless of the `query_sync` option.
     pub fn inherently_synchronizing(self) -> bool {
         matches!(self, Strategy::WwColl | Strategy::WwCollList)
+    }
+
+    /// The MPI-IO method of this strategy's independent writes (worker
+    /// batches, repairs and shard-master writes of shipped results).
+    pub(crate) fn write_method(self) -> WriteMethod {
+        match self {
+            Strategy::WwPosix => WriteMethod::Posix,
+            // ROMIO data sieving: each covering block is one locked
+            // read-modify-write cycle.
+            Strategy::WwSieve => WriteMethod::DataSieve,
+            _ => WriteMethod::ListIo,
+        }
     }
 
     /// Short label used in reports (matches the paper's terminology).

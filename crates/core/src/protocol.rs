@@ -63,8 +63,9 @@ pub enum Assign {
         fragment: usize,
     },
     /// No task is available right now, but the run is not over (tasks may
-    /// be requeued if a peer dies). Re-request after a short sleep. Only
-    /// sent when crash injection is armed.
+    /// be requeued if a peer dies, a client query may still arrive, or a
+    /// steal may still refill the shard). Re-request after a short sleep.
+    /// Only polling masters send it: service, crash-armed and sharded runs.
     Wait,
     /// Write a dead peer's already-assigned output regions on its behalf
     /// (checkpoint repair). Only sent when crash injection is armed.
@@ -81,10 +82,7 @@ pub enum Assign {
         /// The exact file regions the dead worker was told to write.
         regions: Vec<Region>,
     },
-    /// All queries have been scheduled; no more work will come. In
-    /// service mode the master additionally tells the worker how many
-    /// offset messages it will ultimately receive, because shed queries
-    /// make that count impossible to derive locally from the workload.
+    /// All queries have been scheduled; no more work will come.
     Done,
     /// Service-mode end-of-work: like [`Assign::Done`], but carries the
     /// total number of [`TAG_OFFSETS`] messages the master has sent (or
@@ -132,9 +130,9 @@ pub struct ScoresMsg {
     pub fragment: usize,
     /// Hits, sorted by `(score desc, size desc)`.
     pub hits: Vec<Hit>,
-    /// Sharded mode: the result data rides along and the receiving shard
-    /// writes it itself (the sender keeps nothing). Always `false` on the
-    /// single-master path.
+    /// The result data rides along and the receiving master writes it
+    /// (the sender keeps nothing): every MW task, and stolen tasks in
+    /// sharded runs.
     pub shipped: bool,
 }
 

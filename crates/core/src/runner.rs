@@ -20,7 +20,7 @@ use crate::phase::PhaseBreakdown;
 use crate::report::{RunReport, ServiceReport};
 use crate::resume::{restart_point, CommitTracker, ResumePoint};
 use crate::service::ServiceTracker;
-use crate::shard::{run_shard_master, run_shard_worker};
+use crate::shard::run_shard_master;
 use crate::trace::TraceSink;
 use crate::worker::{run_worker, WorkerStats};
 
@@ -256,8 +256,8 @@ fn execute(params: &SimParams) -> Result<RunReport, SimError> {
 
     // Master(s). Each master's file handle lives on a single-rank
     // communicator: MW writes (and shipped-result shard writes) are
-    // independent operations. Sharded runs spawn one master per shard;
-    // `num_masters == 1` takes the original single-master path unchanged.
+    // independent operations. Sharded runs spawn one shard master per
+    // shard; `num_masters == 1` runs the single master loop.
     let master_joins: Vec<_> = if params.sharded() {
         (0..params.num_masters)
             .map(|s| {
@@ -310,8 +310,9 @@ fn execute(params: &SimParams) -> Result<RunReport, SimError> {
         )]
     };
 
-    // Workers (world ranks 1..procs). Their file handle lives on the
-    // workers' communicator so collective writes span exactly the workers.
+    // Workers (world ranks num_masters..procs), single-master and sharded
+    // alike. Their file handle lives on the workers' communicator so
+    // collective writes span exactly the workers.
     let worker_joins: Vec<_> = worker_ranks
         .iter()
         .map(|&r| {
@@ -321,41 +322,24 @@ fn execute(params: &SimParams) -> Result<RunReport, SimError> {
             let sim2 = sim.clone();
             let p = Rc::clone(&params);
             let w = Rc::clone(&workload);
-            if params.sharded() {
-                sim.spawn(
-                    format!("worker{r}"),
-                    run_shard_worker(
-                        sim2,
-                        comm,
-                        workers_comm,
-                        p,
-                        w,
-                        file,
-                        sink.clone(),
-                        commits.clone(),
-                        faults_ctx.clone(),
-                    ),
-                )
-            } else {
-                let database = (params.segmentation == Segmentation::Query
-                    && params.db_reload_bytes() > 0)
-                    .then(|| fs.open(DATABASE_FILE));
-                sim.spawn(
-                    format!("worker{r}"),
-                    run_worker(
-                        sim2,
-                        comm,
-                        workers_comm,
-                        p,
-                        w,
-                        file,
-                        database,
-                        sink.clone(),
-                        commits.clone(),
-                        faults_ctx.clone(),
-                    ),
-                )
-            }
+            let database = (params.segmentation == Segmentation::Query
+                && params.db_reload_bytes() > 0)
+                .then(|| fs.open(DATABASE_FILE));
+            sim.spawn(
+                format!("worker{r}"),
+                run_worker(
+                    sim2,
+                    comm,
+                    workers_comm,
+                    p,
+                    w,
+                    file,
+                    database,
+                    sink.clone(),
+                    commits.clone(),
+                    faults_ctx.clone(),
+                ),
+            )
         })
         .collect();
 

@@ -22,38 +22,34 @@
 //! master").
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
 
-use s3a_des::{Flag, Sim, SimTime, Sleep};
+use s3a_des::{Flag, Sim, SimTime};
 use s3a_faults::FaultKind;
 use s3a_mpi::{waitall_sends, Comm, RecvRequest, SendRequest, Source};
-use s3a_mpiio::{File, WriteMethod};
+use s3a_mpiio::File;
 use s3a_obs::{ObsSink, Track};
 use s3a_workload::{Hit, Workload};
 
 use crate::failure_detector::Liveness;
+use crate::master::Wake;
 use crate::offsets::BatchState;
 use crate::params::{SimParams, Strategy};
 use crate::phase::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::protocol::{
-    merge_sorted_hits, Assign, OffsetsMsg, ScoresMsg, ShardCtrl, ShardStatus, StealReq, StealResp,
-    CTRL_BYTES, HEARTBEAT_BYTES, SCORE_ENTRY_BYTES, TAG_ASSIGN, TAG_CTRL, TAG_CTRL_ACK,
-    TAG_MASTER_HB, TAG_OFFSETS, TAG_SCORES, TAG_STATUS, TAG_STEAL_REQ, TAG_STEAL_RESP,
-    TAG_WORK_REQ, WORK_REQ_BYTES,
+    Assign, OffsetsMsg, ScoresMsg, ShardCtrl, ShardStatus, StealReq, StealResp, CTRL_BYTES,
+    HEARTBEAT_BYTES, TAG_ASSIGN, TAG_CTRL, TAG_CTRL_ACK, TAG_MASTER_HB, TAG_OFFSETS, TAG_SCORES,
+    TAG_STATUS, TAG_STEAL_REQ, TAG_STEAL_RESP, TAG_WORK_REQ,
 };
 use crate::resume::CommitTracker;
 use crate::runner::FaultCtx;
 use crate::trace::TraceSink;
-use crate::worker::{expected_offset_messages, handle_offsets, WorkerState, WorkerStats};
 
 /// How long an idle sharded worker backs off before re-requesting work
 /// when no fault schedule supplies a heartbeat tick. Also the liveness
 /// driver for fault-free masters: every Wait-ing worker re-polls its
 /// home at this interval.
-const SHARD_POLL: SimTime = SimTime::from_millis(10);
+pub(crate) const SHARD_POLL: SimTime = SimTime::from_millis(10);
 
 /// The slice of a fragment's hit list that sub-fragment `slice` of `k`
 /// covers. Slices partition the list in order, so their concatenation is
@@ -99,51 +95,6 @@ fn initial_owners(nbatches: usize, m: usize) -> Vec<usize> {
         }
     }
     owner
-}
-
-/// Suspends a shard master until any of its receive channels has a
-/// message — plus, in crash mode, a tick to re-check the detection
-/// clock. All master-bound traffic lands in one mailbox, so a single
-/// watch registration covers every wake source; fault-free masters carry
-/// no timer at all (workers re-polling on `Wait` drive liveness).
-struct ShardEvent<'a> {
-    rxs: Vec<&'a RecvRequest>,
-    sleep: Option<Sleep>,
-}
-
-impl Future for ShardEvent<'_> {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        if this.rxs.iter().any(|r| r.ready()) {
-            return Poll::Ready(());
-        }
-        this.rxs[0].watch();
-        match &mut this.sleep {
-            Some(s) => Pin::new(s).poll(cx),
-            None => Poll::Pending,
-        }
-    }
-}
-
-/// Suspends a crash-mode sharded worker until its pending assignment
-/// arrives, any other mailbox activity happens (a re-home notice, an
-/// offset list), or a tick elapses.
-struct AssignWait<'a> {
-    rx: &'a RecvRequest,
-    sleep: Sleep,
-}
-
-impl Future for AssignWait<'_> {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        if this.rx.ready() {
-            return Poll::Ready(());
-        }
-        this.rx.watch();
-        Pin::new(&mut this.sleep).poll(cx)
-    }
 }
 
 /// Take `floor(own/2)` of the victim's *own-owned* queued tasks, from
@@ -310,11 +261,7 @@ pub(crate) async fn run_shard_master(
     let mut ctrl_sends: Vec<SendRequest> = Vec::new();
     let mut crashed = false;
 
-    let method = match params.strategy {
-        Strategy::WwPosix => WriteMethod::Posix,
-        Strategy::WwSieve => WriteMethod::DataSieve,
-        _ => WriteMethod::ListIo,
-    };
+    let method = params.strategy.write_method();
 
     loop {
         // Fail-stop point: the only obligation-free moment (layout writes
@@ -762,7 +709,9 @@ pub(crate) async fn run_shard_master(
         }
 
         // Idle: wake on any mailbox activity; crash mode adds a tick so
-        // the detection clock keeps being re-checked.
+        // the detection clock keeps being re-checked. Fault-free masters
+        // carry no timer at all (workers re-polling on `Wait` drive
+        // liveness).
         let mut rxs: Vec<&RecvRequest> = vec![&wr_rx, &scores_rx, &streq_rx, &status_rx];
         if let Some((_, rx, _)) = &outstanding_steal {
             rxs.push(rx);
@@ -776,8 +725,9 @@ pub(crate) async fn run_shard_master(
         timer
             .track(
                 Phase::DataDistribution,
-                ShardEvent {
-                    rxs,
+                Wake {
+                    watch: &wr_rx,
+                    ready: || rxs.iter().any(|r| r.ready()),
                     sleep: crash_mode.then(|| sim.sleep(tick)),
                 },
             )
@@ -955,304 +905,6 @@ fn handle_master_dead(
     takeover_start.insert(dead, now);
     quarantine.insert(dead, quarantined);
     ack_wait.insert(dead, procs - first_worker);
-}
-
-/// Run a sharded worker (world rank `num_masters..procs`). Like
-/// [`crate::worker::run_worker`] but homed to a shard master, speaking
-/// sub-fragment tasks, and — when master crashes are armed — following
-/// `Rehome` notices to a successor shard.
-#[allow(clippy::too_many_arguments)]
-pub(crate) async fn run_shard_worker(
-    sim: Sim,
-    comm: Comm,
-    workers_comm: Comm,
-    params: Rc<SimParams>,
-    workload: Rc<Workload>,
-    file: File,
-    trace: TraceSink,
-    commits: CommitTracker,
-    faults: Option<FaultCtx>,
-) -> (PhaseBreakdown, WorkerStats) {
-    let me = comm.rank();
-    let m = params.num_masters;
-    let timer = PhaseTimer::with_trace(&sim, me, trace);
-
-    timer
-        .track(Phase::Setup, comm.bcast::<()>(0, None, 1024))
-        .await;
-
-    let nq = workload.queries.len();
-    let gran = params.batch_granularity(nq);
-    let nbatches = nq.div_ceil(gran);
-    let k = params.subfragment_factor;
-    let mut home = (me - m) % m;
-
-    let mut state = WorkerState {
-        local: (0..nbatches).map(|_| BTreeMap::new()).collect(),
-        have_results: vec![false; nbatches],
-        offsets_handled: 0,
-        stats: WorkerStats::default(),
-    };
-    // Offsets may arrive from any shard this worker has ever been homed
-    // to — including a master that has since crashed (its in-flight
-    // sends still complete).
-    let mut offs_rx = comm.irecv(Source::Any, TAG_OFFSETS);
-    let mut result_sends: VecDeque<SendRequest> = VecDeque::new();
-    let workers_write = params.strategy.workers_write();
-
-    let crash_mode = faults
-        .as_ref()
-        .is_some_and(|f| f.schedule.params().master_crashes());
-    let tick = if crash_mode {
-        faults
-            .as_ref()
-            .map(|f| f.schedule.params().heartbeat_interval)
-            .expect("crash_mode implies faults")
-    } else {
-        // Fault-free shards answer `Wait` while a steal is in flight;
-        // back off a real interval so the request/wait ping-pong cannot
-        // livelock at a fixed timestamp.
-        SHARD_POLL
-    };
-    let mut ctrl_rx = crash_mode.then(|| comm.irecv(Source::Any, TAG_CTRL));
-    let mut ctrl_sends: Vec<SendRequest> = Vec::new();
-    // Masters this worker has seen die (via `Rehome`). An assignment
-    // from one can still arrive after the purge ack when message delays
-    // outlast the detection window; executing it would re-create the
-    // stale local merge the ack barrier claims was dropped.
-    let mut dead_masters: BTreeSet<usize> = BTreeSet::new();
-
-    loop {
-        timer
-            .track(
-                Phase::DataDistribution,
-                comm.send(home, TAG_WORK_REQ, (), WORK_REQ_BYTES),
-            )
-            .await;
-
-        let resp = if !crash_mode {
-            timer
-                .track(Phase::DataDistribution, comm.recv(home, TAG_ASSIGN))
-                .await
-                .downcast::<Assign>()
-        } else {
-            // Crash mode: the assignment may never come (the home master
-            // died). Poll the assignment alongside control traffic; a
-            // `Rehome` naming our home redirects the work request. The
-            // assignment is always consumed first so a task already on
-            // the wire completes (and merges) before any purge clears it.
-            let mut assign_rx = comm.irecv(home, TAG_ASSIGN);
-            'assign: loop {
-                if let Some(msg) = assign_rx.test() {
-                    break 'assign msg.downcast::<Assign>();
-                }
-                let mut rehomed = false;
-                if let Some(rx) = &mut ctrl_rx {
-                    while let Some(msg) = rx.test() {
-                        *rx = comm.irecv(Source::Any, TAG_CTRL);
-                        let ShardCtrl::Rehome {
-                            dead,
-                            successor,
-                            purge,
-                        } = msg.downcast::<ShardCtrl>();
-                        dead_masters.insert(dead);
-                        for &b in &purge {
-                            state.local[b].clear();
-                            state.have_results[b] = false;
-                        }
-                        if !purge.is_empty() {
-                            ctrl_sends.push(comm.isend(successor, TAG_CTRL_ACK, dead, CTRL_BYTES));
-                        }
-                        if home == dead {
-                            home = successor;
-                            rehomed = true;
-                        }
-                    }
-                }
-                if rehomed {
-                    // The old request was absorbed by the dead master.
-                    // Leak the posted receive (an assignment already in
-                    // flight may still match it; nobody will read it —
-                    // its task is un-scored, so the successor's rebuild
-                    // covers it) and re-ask the new home.
-                    std::mem::forget(assign_rx);
-                    timer
-                        .track(
-                            Phase::Recovery,
-                            comm.send(home, TAG_WORK_REQ, (), WORK_REQ_BYTES),
-                        )
-                        .await;
-                    assign_rx = comm.irecv(home, TAG_ASSIGN);
-                    continue 'assign;
-                }
-                while let Some(msg) = offs_rx.test() {
-                    offs_rx = comm.irecv(Source::Any, TAG_OFFSETS);
-                    handle_offsets(
-                        &timer,
-                        &params,
-                        &workers_comm,
-                        &file,
-                        &mut state,
-                        &commits,
-                        me,
-                        msg,
-                    )
-                    .await;
-                }
-                timer
-                    .track(
-                        Phase::DataDistribution,
-                        AssignWait {
-                            rx: &assign_rx,
-                            sleep: sim.sleep(tick),
-                        },
-                    )
-                    .await;
-            }
-        };
-
-        match resp {
-            Assign::ShardTask {
-                query,
-                fragment,
-                owner,
-                ship,
-            } => {
-                if dead_masters.contains(&owner) {
-                    // A delayed assignment outlived its owner. Every
-                    // unscored task of a dead shard is covered by the
-                    // successor's rebuild, so executing this one could
-                    // only waste compute, lose its score to a dead rank,
-                    // or merge hits back into a purged batch. Drop it
-                    // and ask the (live) home for real work.
-                    continue;
-                }
-                state.stats.tasks += 1;
-                // `fragment` indexes the sub-fragment space: fragment
-                // f of the workload split `subfragment_factor` ways.
-                let full = &workload.queries[query].hits[fragment / k];
-                let hits = subfragment_hits(full, fragment % k, k);
-                let bytes: u64 = hits.iter().map(|h| h.size).sum();
-                timer
-                    .track(
-                        Phase::Compute,
-                        sim.sleep(params.compute_time_multi(bytes, 1)),
-                    )
-                    .await;
-
-                // Local merge only when this worker will write the data
-                // itself; shipped results travel with the scores and are
-                // written by the owning shard master.
-                if !ship && workers_write && !hits.is_empty() {
-                    let merge_time = params.testbed.merge_per_hit * hits.len() as u64;
-                    timer
-                        .track(Phase::MergeResults, sim.sleep(merge_time))
-                        .await;
-                    let b = query / gran;
-                    let slot = state.local[b].entry(query).or_default();
-                    if slot.is_empty() {
-                        slot.extend_from_slice(hits);
-                    } else {
-                        *slot = merge_sorted_hits(slot, hits);
-                    }
-                    state.have_results[b] = true;
-                }
-
-                while result_sends.len() >= params.testbed.max_outstanding_result_sends {
-                    let oldest = result_sends.pop_front().expect("nonempty");
-                    timer.track(Phase::GatherResults, oldest.wait()).await;
-                }
-                let wire = SCORE_ENTRY_BYTES * hits.len() as u64 + if ship { bytes } else { 0 };
-                let msg = ScoresMsg {
-                    query,
-                    fragment,
-                    hits: hits.to_vec(),
-                    shipped: ship,
-                };
-                result_sends.push_back(comm.isend(owner, TAG_SCORES, msg, wire));
-            }
-            Assign::Wait => {
-                while let Some(msg) = offs_rx.test() {
-                    offs_rx = comm.irecv(Source::Any, TAG_OFFSETS);
-                    handle_offsets(
-                        &timer,
-                        &params,
-                        &workers_comm,
-                        &file,
-                        &mut state,
-                        &commits,
-                        me,
-                        msg,
-                    )
-                    .await;
-                }
-                let idle_phase = if crash_mode {
-                    Phase::Recovery
-                } else {
-                    Phase::DataDistribution
-                };
-                timer.track(idle_phase, sim.sleep(tick)).await;
-            }
-            Assign::Done => break,
-            Assign::Task { .. } | Assign::Repair { .. } | Assign::Shutdown { .. } => {
-                unreachable!("single-master assignment in a sharded run")
-            }
-        }
-
-        // Crash runs drain eagerly: prompt writes shrink the window in
-        // which a master's death would force a batch rebuild.
-        if crash_mode {
-            while let Some(msg) = offs_rx.test() {
-                offs_rx = comm.irecv(Source::Any, TAG_OFFSETS);
-                handle_offsets(
-                    &timer,
-                    &params,
-                    &workers_comm,
-                    &file,
-                    &mut state,
-                    &commits,
-                    me,
-                    msg,
-                )
-                .await;
-            }
-        }
-    }
-
-    // Drain every batch we still owe I/O for. Unlike the single-master
-    // crash path, a sharded `Done` certifies scoring, not durability —
-    // worker writes may still be outstanding, so the drain always runs.
-    let expected = expected_offset_messages(&params, &state);
-    while state.offsets_handled < expected {
-        let msg = timer.track(Phase::DataDistribution, offs_rx.wait()).await;
-        offs_rx = comm.irecv(Source::Any, TAG_OFFSETS);
-        handle_offsets(
-            &timer,
-            &params,
-            &workers_comm,
-            &file,
-            &mut state,
-            &commits,
-            me,
-            msg,
-        )
-        .await;
-    }
-
-    while let Some(s) = result_sends.pop_front() {
-        timer.track(Phase::GatherResults, s.wait()).await;
-    }
-    timer
-        .track(Phase::GatherResults, waitall_sends(&ctrl_sends))
-        .await;
-
-    if !crash_mode {
-        timer.track(Phase::Sync, comm.barrier()).await;
-    }
-
-    let mut bd = timer.snapshot();
-    bd.close_to(sim.now());
-    (bd, state.stats)
 }
 
 #[cfg(test)]

@@ -9,42 +9,50 @@
 //! lists; the collective strategy must stop and synchronize, which is
 //! exactly the cost the paper sets out to measure.
 //!
-//! With crash injection armed a worker additionally runs a heartbeat
+//! The same loop serves single-master and sharded runs. A sharded worker
+//! is homed to shard `(rank − m) % m` (always 0 with one master), speaks
+//! sub-fragment tasks that name the owning shard, and — when master
+//! crashes are armed — follows `Rehome` notices to a successor shard.
+//!
+//! With worker crashes armed a worker additionally runs a heartbeat
 //! sibling task, answers `Wait`/`Repair` assignments (idle back-off and
 //! redoing a dead peer's writes), and — if it is itself scheduled to
 //! crash — fail-stops at the top of its main loop: heartbeats cease, its
 //! mailbox starts absorbing traffic, and the process simply returns.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use s3a_des::{Flag, Sim};
 use s3a_faults::FaultKind;
-use s3a_mpi::{Comm, Message, SendRequest};
-use s3a_mpiio::{File, WriteMethod};
+use s3a_mpi::{waitall_sends, Comm, Message, SendRequest, Source};
+use s3a_mpiio::File;
 use s3a_pvfs::{FileHandle, Region};
 use s3a_workload::{Hit, Workload};
 
+use crate::master::Wake;
 use crate::params::{Segmentation, SimParams, Strategy};
 use crate::phase::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::protocol::{
-    merge_sorted_hits, Assign, OffsetsMsg, ScoresMsg, HEARTBEAT_BYTES, SCORE_ENTRY_BYTES,
-    TAG_ASSIGN, TAG_HEARTBEAT, TAG_OFFSETS, TAG_SCORES, TAG_WORK_REQ, WORK_REQ_BYTES,
+    merge_sorted_hits, Assign, OffsetsMsg, ScoresMsg, ShardCtrl, CTRL_BYTES, HEARTBEAT_BYTES,
+    SCORE_ENTRY_BYTES, TAG_ASSIGN, TAG_CTRL, TAG_CTRL_ACK, TAG_HEARTBEAT, TAG_OFFSETS, TAG_SCORES,
+    TAG_WORK_REQ, WORK_REQ_BYTES,
 };
 use crate::resume::CommitTracker;
 use crate::runner::FaultCtx;
+use crate::shard::{subfragment_hits, SHARD_POLL};
 use crate::trace::TraceSink;
 
-pub(crate) struct WorkerState {
+struct WorkerState {
     /// Merged hits per batch, keyed by query (ascending), each list in
     /// `(score desc, size desc)` order.
-    pub(crate) local: Vec<BTreeMap<usize, Vec<Hit>>>,
+    local: Vec<BTreeMap<usize, Vec<Hit>>>,
     /// Batches for which this worker holds at least one result.
-    pub(crate) have_results: Vec<bool>,
+    have_results: Vec<bool>,
     /// Offset messages handled so far.
-    pub(crate) offsets_handled: usize,
+    offsets_handled: usize,
     /// Counters reported back to the runner.
-    pub(crate) stats: WorkerStats,
+    stats: WorkerStats,
 }
 
 /// Per-worker activity counters.
@@ -58,9 +66,10 @@ pub struct WorkerStats {
     pub bytes_written: u64,
 }
 
-/// Run a worker. `comm` is the world communicator; `workers_comm` spans
-/// all workers (used for query-sync barriers); `file` is opened on the
-/// workers' communicator and carries every worker-writing I/O path.
+/// Run a worker (world rank `num_masters..procs`). `comm` is the world
+/// communicator; `workers_comm` spans all workers (used for query-sync
+/// barriers); `file` is opened on the workers' communicator and carries
+/// every worker-writing I/O path.
 #[allow(clippy::too_many_arguments)]
 pub async fn run_worker(
     sim: Sim,
@@ -74,7 +83,8 @@ pub async fn run_worker(
     commits: CommitTracker,
     faults: Option<FaultCtx>,
 ) -> (PhaseBreakdown, WorkerStats) {
-    let timer = PhaseTimer::with_trace(&sim, comm.rank(), trace);
+    let me = comm.rank();
+    let timer = PhaseTimer::with_trace(&sim, me, trace);
 
     // Step 1: receive input variables.
     timer
@@ -84,6 +94,9 @@ pub async fn run_worker(
     let nq = workload.queries.len();
     let gran = params.batch_granularity(nq);
     let nbatches = nq.div_ceil(gran);
+    let m = params.num_masters;
+    let k = params.subfragment_factor;
+    let mut home = (me - m) % m;
 
     let mut state = WorkerState {
         local: (0..nbatches).map(|_| BTreeMap::new()).collect(),
@@ -91,41 +104,83 @@ pub async fn run_worker(
         offsets_handled: 0,
         stats: WorkerStats::default(),
     };
-    let mut offs_rx = comm.irecv(0, TAG_OFFSETS);
+    // Offsets may arrive from any shard this worker has ever been homed
+    // to — including a master that has since crashed (its in-flight sends
+    // still complete).
+    let offs_src = if params.sharded() {
+        Source::Any
+    } else {
+        Source::Rank(0)
+    };
+    let mut offs_rx = comm.irecv(offs_src, TAG_OFFSETS);
     let mut result_sends: VecDeque<SendRequest> = VecDeque::new();
     let is_mw = params.strategy == Strategy::Mw;
 
-    let crash_mode = faults
-        .as_ref()
-        .is_some_and(|f| f.schedule.params().crashes());
-    let my_crash = faults
-        .as_ref()
-        .and_then(|f| f.schedule.crash_time(comm.rank()));
+    let fp = faults.as_ref().map(|f| f.schedule.params());
+    let worker_crashes = fp.is_some_and(|p| p.crashes());
+    let master_crashes = fp.is_some_and(|p| p.master_crashes());
+    let crash_mode = worker_crashes || master_crashes;
+    let my_crash = faults.as_ref().and_then(|f| f.schedule.crash_time(me));
     // How long to back off on a `Wait` assignment: the service poll
     // interval (service masters answer `Wait` while the queue is empty),
-    // or the heartbeat interval when crash injection is armed.
-    let tick = if let Some(sp) = params.service() {
-        sp.poll_interval
-    } else {
-        faults
-            .as_ref()
-            .map(|f| f.schedule.params().heartbeat_interval)
-            .unwrap_or(s3a_des::SimTime::ZERO)
+    // the heartbeat interval when crashes are armed, or — for fault-free
+    // shards answering `Wait` while a steal is in flight — a real
+    // interval, so the request/wait ping-pong cannot livelock at a fixed
+    // timestamp.
+    let tick = match (params.service(), fp) {
+        (Some(sp), _) => sp.poll_interval,
+        (None, Some(p)) if crash_mode => p.heartbeat_interval,
+        _ => SHARD_POLL,
     };
 
     // Heartbeat sibling: proof of life to the master, every tick, until
     // this worker finishes — or crashes.
     let hb_stop = Flag::new(&sim);
-    if crash_mode {
+    if worker_crashes {
         let hb_comm = comm.clone();
         let stop = hb_stop.clone();
         let hb_sim = sim.clone();
-        sim.spawn(format!("heartbeat-{}", comm.rank()), async move {
+        sim.spawn(format!("heartbeat-{me}"), async move {
             while !stop.is_set() {
                 let _ = hb_comm.isend(0, TAG_HEARTBEAT, (), HEARTBEAT_BYTES);
                 hb_sim.sleep(tick).await;
             }
         });
+    }
+    let mut ctrl_rx = master_crashes.then(|| comm.irecv(Source::Any, TAG_CTRL));
+    let mut ctrl_sends: Vec<SendRequest> = Vec::new();
+    // Masters this worker has seen die (via `Rehome`). An assignment
+    // from one can still arrive after the purge ack when message delays
+    // outlast the detection window; executing it would re-create the
+    // stale local merge the ack barrier claims was dropped.
+    let mut dead_masters: BTreeSet<usize> = BTreeSet::new();
+
+    // Re-post the offsets receive and write the batch `msg` locates. The
+    // handler's state is boxed: it is awaited from four places, and every
+    // worker (10k of them at scale) would otherwise carry room for it.
+    macro_rules! on_offsets {
+        ($msg:expr) => {
+            offs_rx = comm.irecv(offs_src, TAG_OFFSETS);
+            Box::pin(handle_offsets(
+                &timer,
+                &params,
+                &workers_comm,
+                &file,
+                &mut state,
+                &commits,
+                me,
+                $msg,
+            ))
+            .await;
+        };
+    }
+    // Write every batch whose offset list has arrived.
+    macro_rules! drain_offsets {
+        () => {
+            while let Some(msg) = offs_rx.test() {
+                on_offsets!(msg);
+            }
+        };
     }
 
     let mut crashed = false;
@@ -139,7 +194,7 @@ pub async fn run_worker(
                 hb_stop.set();
                 if let Some(f) = &faults {
                     f.log
-                        .record(sim.now(), FaultKind::WorkerCrashed { rank: comm.rank() });
+                        .record(sim.now(), FaultKind::WorkerCrashed { rank: me });
                 }
                 // From now on traffic addressed to this rank is absorbed
                 // (fires flow control, discards payload) so no sender or
@@ -154,102 +209,104 @@ pub async fn run_worker(
         timer
             .track(
                 Phase::DataDistribution,
-                comm.send(0, TAG_WORK_REQ, (), WORK_REQ_BYTES),
+                comm.send(home, TAG_WORK_REQ, (), WORK_REQ_BYTES),
             )
             .await;
-        let resp = timer
-            .track(Phase::DataDistribution, comm.recv(0, TAG_ASSIGN))
-            .await
-            .downcast::<Assign>();
-
-        match resp {
-            Assign::Task { query, fragment } => {
-                // Step 6: the search itself. A query-segmentation task
-                // scans the whole database: it pays one startup per
-                // original fragment, and — when the database exceeds
-                // worker memory — first streams the non-resident part
-                // back in from the file system (the repeated I/O the
-                // paper's introduction holds against query segmentation).
-                state.stats.tasks += 1;
-                if let Some(db) = &database {
-                    let reload = params.db_reload_bytes();
-                    timer
-                        .track(Phase::Io, db.read_contiguous(file.endpoint(), 0, reload))
-                        .await
-                        .unwrap_or_else(|e| crate::runner::io_failure(e));
+        let resp = if let Some(ctrl_rx) = &mut ctrl_rx {
+            // The assignment may never come (the home master died). Poll
+            // the assignment alongside control traffic; a `Rehome` naming
+            // our home redirects the work request. The assignment is
+            // always consumed first so a task already on the wire
+            // completes (and merges) before any purge clears it.
+            let mut assign_rx = comm.irecv(home, TAG_ASSIGN);
+            'assign: loop {
+                if let Some(msg) = assign_rx.test() {
+                    break 'assign msg.downcast::<Assign>();
                 }
-                let startups = match params.segmentation {
-                    Segmentation::Database => 1,
-                    Segmentation::Query => params.workload.fragments,
-                };
-                let hits = &workload.queries[query].hits[fragment];
-                let bytes: u64 = hits.iter().map(|h| h.size).sum();
+                let mut rehomed = false;
+                while let Some(msg) = ctrl_rx.test() {
+                    *ctrl_rx = comm.irecv(Source::Any, TAG_CTRL);
+                    let ShardCtrl::Rehome {
+                        dead,
+                        successor,
+                        purge,
+                    } = msg.downcast::<ShardCtrl>();
+                    dead_masters.insert(dead);
+                    for &b in &purge {
+                        state.local[b].clear();
+                        state.have_results[b] = false;
+                    }
+                    if !purge.is_empty() {
+                        ctrl_sends.push(comm.isend(successor, TAG_CTRL_ACK, dead, CTRL_BYTES));
+                    }
+                    if home == dead {
+                        home = successor;
+                        rehomed = true;
+                    }
+                }
+                if rehomed {
+                    // The old request was absorbed by the dead master.
+                    // Leak the posted receive (an assignment already in
+                    // flight may still match it; nobody will read it — its
+                    // task is un-scored, so the successor's rebuild covers
+                    // it) and re-ask the new home.
+                    std::mem::forget(assign_rx);
+                    timer
+                        .track(
+                            Phase::Recovery,
+                            comm.send(home, TAG_WORK_REQ, (), WORK_REQ_BYTES),
+                        )
+                        .await;
+                    assign_rx = comm.irecv(home, TAG_ASSIGN);
+                    continue 'assign;
+                }
+                drain_offsets!();
+                // Wake on the assignment, any other mailbox activity (a
+                // re-home notice, an offset list), or a tick.
                 timer
                     .track(
-                        Phase::Compute,
-                        sim.sleep(params.compute_time_multi(bytes, startups)),
+                        Phase::DataDistribution,
+                        Wake {
+                            watch: &assign_rx,
+                            ready: || assign_rx.ready(),
+                            sleep: Some(sim.sleep(tick)),
+                        },
                     )
                     .await;
-
-                // Step 8: merge into the per-query list (parallel I/O only).
-                if params.strategy.workers_write() && !hits.is_empty() {
-                    let merge_time = params.testbed.merge_per_hit * hits.len() as u64;
-                    timer
-                        .track(Phase::MergeResults, sim.sleep(merge_time))
-                        .await;
-                    let b = query / gran;
-                    let slot = state.local[b].entry(query).or_default();
-                    if slot.is_empty() {
-                        slot.extend_from_slice(hits);
-                    } else {
-                        *slot = merge_sorted_hits(slot, hits);
-                    }
-                    state.have_results[b] = true;
-                }
-
-                // Steps 10 & 15: send scores (and results for MW), with
-                // bounded send buffering.
-                while result_sends.len() >= params.testbed.max_outstanding_result_sends {
-                    let oldest = result_sends.pop_front().expect("nonempty");
-                    timer.track(Phase::GatherResults, oldest.wait()).await;
-                }
-                let wire = SCORE_ENTRY_BYTES * hits.len() as u64 + if is_mw { bytes } else { 0 };
-                let msg = ScoresMsg {
-                    query,
-                    fragment,
-                    hits: hits.clone(),
-                    shipped: false,
-                };
-                result_sends.push_back(comm.isend(0, TAG_SCORES, msg, wire));
             }
+        } else {
+            timer
+                .track(Phase::DataDistribution, comm.recv(home, TAG_ASSIGN))
+                .await
+                .downcast::<Assign>()
+        };
+
+        // A single-master task is a sharded task owned by the master for
+        // the whole fragment (k = 1); its data ships only under MW.
+        let task = match resp {
+            Assign::Task { query, fragment } => Some((query, fragment, 0, is_mw)),
+            Assign::ShardTask {
+                query,
+                fragment,
+                owner,
+                ship,
+            } => Some((query, fragment, owner, ship)),
             Assign::Wait => {
                 // The master has no task for us yet (it is waiting out a
-                // failure detection, stragglers, or — in service mode —
-                // the next client arrival). Use the idle time to write any
-                // batches whose offsets have arrived, then back off one
-                // tick before asking again. Idle time waiting for work is
-                // data-distribution time; only crash runs book it as
-                // recovery overhead.
-                while let Some(m) = offs_rx.test() {
-                    offs_rx = comm.irecv(0, TAG_OFFSETS);
-                    handle_offsets(
-                        &timer,
-                        &params,
-                        &workers_comm,
-                        &file,
-                        &mut state,
-                        &commits,
-                        comm.rank(),
-                        m,
-                    )
-                    .await;
-                }
+                // failure detection, stragglers, a steal, or — in service
+                // mode — the next client arrival). Use the idle time to
+                // write any batches whose offsets have arrived, then back
+                // off one tick before asking again. Idle time waiting for
+                // work is data-distribution time; only crash runs book it
+                // as recovery overhead.
+                drain_offsets!();
                 let idle_phase = if crash_mode {
                     Phase::Recovery
                 } else {
                     Phase::DataDistribution
                 };
                 timer.track(idle_phase, sim.sleep(tick)).await;
+                None
             }
             Assign::Repair {
                 batch,
@@ -263,13 +320,8 @@ pub async fn run_worker(
                 // write them into the exact regions the layout reserved.
                 let redo = params.compute_time_multi(bytes, tasks.max(1));
                 timer.track(Phase::Recovery, sim.sleep(redo)).await;
-                let method = match params.strategy {
-                    Strategy::WwPosix => WriteMethod::Posix,
-                    Strategy::WwSieve => WriteMethod::DataSieve,
-                    _ => WriteMethod::ListIo,
-                };
                 let t0 = sim.now();
-                file.write_regions(&regions, method)
+                file.write_regions(&regions, params.strategy.write_method())
                     .await
                     .unwrap_or_else(|e| crate::runner::io_failure(e));
                 file.sync()
@@ -282,15 +334,86 @@ pub async fn run_worker(
                 // named the dead rank, and exactly-once accounting must
                 // close that entry, not invent a new one.
                 commits.complete_by(batch, for_worker, sim.now());
+                None
             }
             Assign::Done => break,
             Assign::Shutdown { offsets } => {
                 drain_target = Some(offsets);
                 break;
             }
-            Assign::ShardTask { .. } => {
-                unreachable!("sharded assignment on the single-master path")
+        };
+        if let Some((query, fragment, owner, ship)) = task {
+            if dead_masters.contains(&owner) {
+                // A delayed assignment outlived its owner. Every unscored
+                // task of a dead shard is covered by the successor's
+                // rebuild, so executing this one could only waste
+                // compute, lose its score to a dead rank, or merge hits
+                // back into a purged batch. Drop it and ask the (live)
+                // home for real work.
+                continue;
             }
+            // Step 6: the search itself. A query-segmentation task scans
+            // the whole database: it pays one startup per original
+            // fragment, and — when the database exceeds worker memory —
+            // first streams the non-resident part back in from the file
+            // system (the repeated I/O the paper's introduction holds
+            // against query segmentation).
+            state.stats.tasks += 1;
+            if let Some(db) = &database {
+                let reload = params.db_reload_bytes();
+                timer
+                    .track(Phase::Io, db.read_contiguous(file.endpoint(), 0, reload))
+                    .await
+                    .unwrap_or_else(|e| crate::runner::io_failure(e));
+            }
+            let startups = match params.segmentation {
+                Segmentation::Database => 1,
+                Segmentation::Query => params.workload.fragments,
+            };
+            // `fragment` indexes the sub-fragment space: fragment f of
+            // the workload split `subfragment_factor` ways.
+            let full = &workload.queries[query].hits[fragment / k];
+            let hits = subfragment_hits(full, fragment % k, k);
+            let bytes: u64 = hits.iter().map(|h| h.size).sum();
+            timer
+                .track(
+                    Phase::Compute,
+                    sim.sleep(params.compute_time_multi(bytes, startups)),
+                )
+                .await;
+
+            // Step 8: merge into the per-query list (parallel I/O only).
+            // Shipped results travel with the scores and are written by
+            // the owning master.
+            if !ship && params.strategy.workers_write() && !hits.is_empty() {
+                let merge_time = params.testbed.merge_per_hit * hits.len() as u64;
+                timer
+                    .track(Phase::MergeResults, sim.sleep(merge_time))
+                    .await;
+                let b = query / gran;
+                let slot = state.local[b].entry(query).or_default();
+                if slot.is_empty() {
+                    slot.extend_from_slice(hits);
+                } else {
+                    *slot = merge_sorted_hits(slot, hits);
+                }
+                state.have_results[b] = true;
+            }
+
+            // Steps 10 & 15: send scores (and shipped results), with
+            // bounded send buffering.
+            while result_sends.len() >= params.testbed.max_outstanding_result_sends {
+                let oldest = result_sends.pop_front().expect("nonempty");
+                timer.track(Phase::GatherResults, oldest.wait()).await;
+            }
+            let wire = SCORE_ENTRY_BYTES * hits.len() as u64 + if ship { bytes } else { 0 };
+            let msg = ScoresMsg {
+                query,
+                fragment,
+                hits: hits.to_vec(),
+                shipped: ship,
+            };
+            result_sends.push_back(comm.isend(owner, TAG_SCORES, msg, wire));
         }
 
         // Steps 16–18: handle any location lists that have arrived.
@@ -303,53 +426,31 @@ pub async fn run_worker(
         // therefore result) distribution balanced across workers — and
         // drains its I/O backlog once the master has no more work. Crash
         // runs also drain eagerly: prompt writes shrink the window in
-        // which this worker's death would orphan a batch.
+        // which this worker's (or its master's) death would orphan a
+        // batch.
         let prompt_io = params.query_sync
             || params.strategy.inherently_synchronizing()
             || crash_mode
             || params.is_service();
         if prompt_io {
-            while let Some(m) = offs_rx.test() {
-                offs_rx = comm.irecv(0, TAG_OFFSETS);
-                handle_offsets(
-                    &timer,
-                    &params,
-                    &workers_comm,
-                    &file,
-                    &mut state,
-                    &commits,
-                    comm.rank(),
-                    m,
-                )
-                .await;
-            }
+            drain_offsets!();
         }
     }
 
     if !crashed {
         hb_stop.set();
-        if !crash_mode {
+        if !worker_crashes {
             // Drain: every batch we still owe I/O (or synchronization)
-            // for. (In crash runs the master only says Done once every
-            // commit is closed, so nothing can be owed here.) A service
-            // shutdown carries the exact count — shed queries make it
-            // underivable from the workload alone.
+            // for. (With worker crashes the master only says Done once
+            // every commit is closed, so nothing can be owed here; a
+            // sharded `Done` certifies scoring, not durability.) A
+            // service shutdown carries the exact count — shed queries
+            // make it underivable from the workload alone.
             let expected =
                 drain_target.unwrap_or_else(|| expected_offset_messages(&params, &state));
             while state.offsets_handled < expected {
-                let m = timer.track(Phase::DataDistribution, offs_rx.wait()).await;
-                offs_rx = comm.irecv(0, TAG_OFFSETS);
-                handle_offsets(
-                    &timer,
-                    &params,
-                    &workers_comm,
-                    &file,
-                    &mut state,
-                    &commits,
-                    comm.rank(),
-                    m,
-                )
-                .await;
+                let msg = timer.track(Phase::DataDistribution, offs_rx.wait()).await;
+                on_offsets!(msg);
             }
         }
     }
@@ -360,9 +461,12 @@ pub async fn run_worker(
     while let Some(s) = result_sends.pop_front() {
         timer.track(Phase::GatherResults, s.wait()).await;
     }
+    timer
+        .track(Phase::GatherResults, waitall_sends(&ctrl_sends))
+        .await;
 
     // Step 20/21: final synchronization — impossible with crashes (a dead
-    // worker can never arrive), so crash runs skip it.
+    // rank can never arrive), so crash runs skip it.
     if !crash_mode {
         timer.track(Phase::Sync, comm.barrier()).await;
     }
@@ -373,7 +477,7 @@ pub async fn run_worker(
 }
 
 /// How many TAG_OFFSETS messages the master will send this worker.
-pub(crate) fn expected_offset_messages(params: &SimParams, state: &WorkerState) -> usize {
+fn expected_offset_messages(params: &SimParams, state: &WorkerState) -> usize {
     let nbatches = state.have_results.len();
     // A resumed run never re-announces batches that were durable at the
     // checkpoint.
@@ -392,7 +496,7 @@ pub(crate) fn expected_offset_messages(params: &SimParams, state: &WorkerState) 
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) async fn handle_offsets(
+async fn handle_offsets(
     timer: &PhaseTimer,
     params: &SimParams,
     workers_comm: &Comm,
@@ -430,47 +534,6 @@ pub(crate) async fn handle_offsets(
         Strategy::Mw => {
             // Pure notification: the master wrote this batch.
         }
-        Strategy::WwPosix => {
-            if !regions.is_empty() {
-                timer
-                    .track(Phase::Io, file.write_regions(&regions, WriteMethod::Posix))
-                    .await
-                    .unwrap_or_else(|e| crate::runner::io_failure(e));
-                timer
-                    .track(Phase::Io, file.sync())
-                    .await
-                    .unwrap_or_else(|e| crate::runner::io_failure(e));
-            }
-        }
-        Strategy::WwList | Strategy::WwCollList => {
-            if !regions.is_empty() {
-                timer
-                    .track(Phase::Io, file.write_regions(&regions, WriteMethod::ListIo))
-                    .await
-                    .unwrap_or_else(|e| crate::runner::io_failure(e));
-                timer
-                    .track(Phase::Io, file.sync())
-                    .await
-                    .unwrap_or_else(|e| crate::runner::io_failure(e));
-            }
-        }
-        Strategy::WwSieve => {
-            // ROMIO data sieving: independent like WW-POSIX, but each
-            // covering block is one locked read-modify-write cycle.
-            if !regions.is_empty() {
-                timer
-                    .track(
-                        Phase::Io,
-                        file.write_regions(&regions, WriteMethod::DataSieve),
-                    )
-                    .await
-                    .unwrap_or_else(|e| crate::runner::io_failure(e));
-                timer
-                    .track(Phase::Io, file.sync())
-                    .await
-                    .unwrap_or_else(|e| crate::runner::io_failure(e));
-            }
-        }
         Strategy::WwColl => {
             // Two-phase collective: every worker participates. The wait
             // for the slowest participant surfaces, as in the paper, in
@@ -490,6 +553,22 @@ pub(crate) async fn handle_offsets(
                 .track(Phase::Io, file.sync_collective())
                 .await
                 .unwrap_or_else(|e| crate::runner::io_failure(e));
+        }
+        // Independent writes (WW-CollList synchronizes afterwards).
+        strategy => {
+            if wrote {
+                timer
+                    .track(
+                        Phase::Io,
+                        file.write_regions(&regions, strategy.write_method()),
+                    )
+                    .await
+                    .unwrap_or_else(|e| crate::runner::io_failure(e));
+                timer
+                    .track(Phase::Io, file.sync())
+                    .await
+                    .unwrap_or_else(|e| crate::runner::io_failure(e));
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! PVFS) and must produce a byte-exact output file.
 
 use s3a_workload::WorkloadParams;
-use s3asim::{run, Phase, SimParams, Strategy};
+use s3asim::{run, FaultParams, Phase, SimParams, SimTime, Strategy};
 
 const ALL_STRATEGIES: [Strategy; 5] = [
     Strategy::Mw,
@@ -300,6 +300,43 @@ fn mw_nonblocking_io_is_exact_and_not_slower() {
         "nonblocking master I/O should not be slower ({} vs {})",
         nonblocking.overall,
         blocking.overall
+    );
+
+    // With worker crashes armed the option still applies: the master
+    // keeps serving requests while its batch writes run in the
+    // background, and joins the last write before it exits.
+    let mut p = small(8, Strategy::Mw, false);
+    p.faults = FaultParams {
+        worker_crashes: vec![(2, SimTime::from_millis(40))],
+        heartbeat_interval: SimTime::from_millis(50),
+        detection_timeout: SimTime::from_millis(400),
+        ..FaultParams::default()
+    };
+    let blocking = run(&p);
+    p.mw_nonblocking_io = true;
+    let nonblocking = run(&p);
+    nonblocking
+        .verify()
+        .expect("exact output despite the crash");
+    assert_eq!(
+        nonblocking
+            .faults
+            .as_ref()
+            .expect("fault report")
+            .detections,
+        1
+    );
+    let entries = nonblocking.commits.entries();
+    let mut batches: Vec<usize> = entries.iter().map(|e| e.batch).collect();
+    batches.sort_unstable();
+    batches.dedup();
+    assert_eq!(batches.len(), entries.len(), "no batch committed twice");
+    assert_eq!(batches, (0..5).collect::<Vec<_>>(), "every batch durable");
+    assert!(
+        nonblocking.master.get(Phase::Io) < blocking.master.get(Phase::Io),
+        "the crash-tolerant master must not block on its writes ({} vs {})",
+        nonblocking.master.get(Phase::Io),
+        blocking.master.get(Phase::Io)
     );
 }
 
