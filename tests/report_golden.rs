@@ -93,6 +93,20 @@ fn sharded(strategy: Strategy) -> SimParams {
     p
 }
 
+/// Standby masters fail-stop at the given `(rank, ms)` times and are
+/// detected by their heartbeat silence.
+fn master_crashes(crashes: &[(usize, u64)]) -> FaultParams {
+    FaultParams {
+        master_crashes: crashes
+            .iter()
+            .map(|&(rank, ms)| (rank, SimTime::from_millis(ms)))
+            .collect(),
+        heartbeat_interval: SimTime::from_millis(50),
+        detection_timeout: SimTime::from_millis(400),
+        ..FaultParams::default()
+    }
+}
+
 /// Every golden point: a name and a closure producing its report.
 fn points() -> Vec<(String, Box<dyn Fn() -> RunReport>)> {
     let mut pts: Vec<(String, Box<dyn Fn() -> RunReport>)> = Vec::new();
@@ -156,6 +170,48 @@ fn points() -> Vec<(String, Box<dyn Fn() -> RunReport>)> {
             run(&p)
         }),
     ));
+    pts.push((
+        "WW-POSIX 3 shards".into(),
+        Box::new(|| {
+            let mut p = sharded(Strategy::WwPosix);
+            p.num_masters = 3;
+            run(&p)
+        }),
+    ));
+    pts.push((
+        "WW-DS 2 shards k=2".into(),
+        Box::new(|| {
+            let mut p = sharded(Strategy::WwSieve);
+            p.subfragment_factor = 2;
+            run(&p)
+        }),
+    ));
+    pts.push((
+        "MW 3 shards chained failover".into(),
+        Box::new(|| {
+            let mut p = sharded(Strategy::Mw);
+            p.num_masters = 3;
+            p.faults = master_crashes(&[(1, 40), (2, 520)]);
+            let r = run(&p);
+            assert_eq!(r.faults.as_ref().expect("fault report").shard_takeovers, 2);
+            r
+        }),
+    ));
+    pts.push((
+        "WW-List 2 shards failover observed".into(),
+        Box::new(|| {
+            let mut p = sharded(Strategy::WwList);
+            p.faults = master_crashes(&[(1, 800)]);
+            p.observe = true;
+            let r = run(&p);
+            let obs = r.obs.as_ref().expect("observed run");
+            assert_eq!(obs.metrics.counter("shard.takeovers"), 1);
+            for name in ["shard.steal", "shard.takeover"] {
+                assert!(obs.spans.iter().any(|s| s.name == name), "no {name} span");
+            }
+            r
+        }),
+    ));
     for s in [Strategy::Mw, Strategy::WwList] {
         pts.push((
             format!("{s} 2 shards k=2"),
@@ -169,12 +225,7 @@ fn points() -> Vec<(String, Box<dyn Fn() -> RunReport>)> {
             format!("{s} 2 shards failover"),
             Box::new(move || {
                 let mut p = sharded(s);
-                p.faults = FaultParams {
-                    master_crashes: vec![(1, SimTime::from_millis(60))],
-                    heartbeat_interval: SimTime::from_millis(50),
-                    detection_timeout: SimTime::from_millis(400),
-                    ..FaultParams::default()
-                };
+                p.faults = master_crashes(&[(1, 60)]);
                 let r = run(&p);
                 assert_eq!(r.faults.as_ref().expect("fault report").shard_takeovers, 1);
                 r
@@ -222,7 +273,8 @@ fn digest(mut r: RunReport) -> u64 {
 }
 
 /// Digests captured from the build before the master and worker loops
-/// were folded together.
+/// were folded together (the sharded points from the build before the
+/// shard master joined that loop).
 const GOLDEN: &[(&str, u64)] = &[
     ("MW fault-free", 0x72669c16ffb90f9b),
     ("MW query-sync", 0x1b749e18f657b914),
@@ -244,6 +296,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("service FairShare", 0x0be13b1cc2285639),
     ("service SJF shedding", 0xe20de0e44429841f),
     ("service MW nonblocking", 0xd666b5706edd4226),
+    ("WW-POSIX 3 shards", 0x3c4d6f43d112ede4),
+    ("WW-DS 2 shards k=2", 0x17e9797df0703cc0),
+    ("MW 3 shards chained failover", 0x76f30b9c0da5faf5),
+    ("WW-List 2 shards failover observed", 0x4a414d9a880a1d99),
     ("MW 2 shards k=2", 0x67a23fdff23b89a2),
     ("MW 2 shards failover", 0x356aa3a6b039f2c5),
     ("WW-List 2 shards k=2", 0x306932f21e176d31),
