@@ -1,12 +1,34 @@
 //! The heartbeat/silence failure detector shared by every detector in
-//! the system: the master's worker detector (`master.rs`) and the
-//! coordinator's standby-master detector (`shard.rs`). Both previously
-//! carried their own `last_seen` table around the one shared comparison;
-//! the table now lives here too, so the strictly-exceeds boundary rule
-//! (the PR 10 fix, DESIGN.md §7) and the refresh bookkeeping exist in
+//! the system: the master's worker detector and the sharded coordinator's
+//! standby-master detector (both in `master.rs`). The strictly-exceeds
+//! boundary rule (DESIGN.md §7), the last-heard table, the
+//! receive-and-refresh drain and the heartbeat sender each exist in
 //! exactly one place.
 
-use s3a_des::SimTime;
+use s3a_des::{Flag, Sim, SimTime};
+use s3a_mpi::{Comm, RecvRequest, Source, Tag};
+
+use crate::protocol::HEARTBEAT_BYTES;
+
+/// Spawn task `name`: proof of life to rank 0 (the master, or the
+/// coordinator) on `tag` every `tick`, until `stop` is set (the sender
+/// finished or fail-stopped).
+pub(crate) fn spawn_heartbeat(
+    sim: &Sim,
+    comm: &Comm,
+    name: String,
+    tag: Tag,
+    tick: SimTime,
+    stop: Flag,
+) {
+    let (comm, hb_sim) = (comm.clone(), sim.clone());
+    sim.spawn(name, async move {
+        while !stop.is_set() {
+            let _ = comm.isend(0, tag, (), HEARTBEAT_BYTES);
+            hb_sim.sleep(tick).await;
+        }
+    });
+}
 
 /// The failure detector's one comparison: a peer is declared dead only
 /// when its silence *strictly exceeds* the detection timeout. A
@@ -45,6 +67,41 @@ impl Liveness {
     /// True when `rank`'s silence strictly exceeds the timeout.
     pub(crate) fn silent(&self, rank: usize, now: SimTime) -> bool {
         silence_exceeds(now, self.last_seen[rank], self.timeout)
+    }
+}
+
+/// A detector's heartbeat intake: one any-source receive on `tag`
+/// feeding a [`Liveness`] table.
+pub(crate) struct Heartbeats {
+    pub(crate) liveness: Liveness,
+    rx: RecvRequest,
+    tag: Tag,
+}
+
+impl Heartbeats {
+    /// Watch `n` ranks' heartbeats on `tag`, every rank heard-from now.
+    pub(crate) fn new(comm: &Comm, tag: Tag, n: usize, timeout: SimTime) -> Heartbeats {
+        Heartbeats {
+            liveness: Liveness::new(n, comm.sim().now(), timeout),
+            rx: comm.irecv(Source::Any, tag),
+            tag,
+        }
+    }
+
+    /// Consume every queued heartbeat, refreshing each sender at `now`.
+    /// Detectors drain again right before scanning, because a loop
+    /// iteration can block (a batch write) for longer than the timeout.
+    pub(crate) fn drain(&mut self, comm: &Comm, now: SimTime) {
+        while let Some(msg) = self.rx.test() {
+            let (_, status) = msg.into_parts::<()>();
+            self.liveness.refresh(status.source, now);
+            self.rx = comm.irecv(Source::Any, self.tag);
+        }
+    }
+
+    /// A heartbeat is waiting to be drained.
+    pub(crate) fn ready(&self) -> bool {
+        self.rx.ready()
     }
 }
 

@@ -7,7 +7,7 @@
 //! same places the paper's pseudo-code blocks: most importantly, while
 //! the MW master writes, it cannot answer work requests.
 //!
-//! One loop serves every single-master run. Two settings, both read from
+//! One loop serves every master rank. Three settings, all read from
 //! [`SimParams`], shape it (DESIGN.md §"One master loop"):
 //!
 //! * **Task source.** Either the batch list (`write_every_n_queries`
@@ -20,104 +20,160 @@
 //!   writes it still owed for already-laid-out batches are handed to a
 //!   survivor as repair bundles — so the run completes with the exact
 //!   same output extents a fault-free run would produce.
+//! * **Shard count** `m = num_masters`. At `m = 1` one master serves
+//!   every worker. At `m > 1` master ranks `0..m` each run this loop over
+//!   their own contiguous share of the batches, laid out at static file
+//!   bases. Between failure detection and answering a work request the
+//!   loop steps the shard control plane: idle shards steal sub-fragment
+//!   tasks from siblings, rank 0 coordinates a two-phase shutdown
+//!   quiesce, and — with master crashes armed — detects a silent standby
+//!   so a successor adopts its batches (see `Shards`).
 //!
-//! Fault-free batch runs wait in a blocking receive for the next work
-//! request, as Algorithm 1 does. Service and crash runs must keep
-//! observing a clock (arrivals, heartbeat silence) while no worker asks
-//! for work, so they poll instead.
+//! Fault-free single-master batch runs wait in a blocking receive for the
+//! next work request, as Algorithm 1 does. Service, crash and sharded
+//! runs must keep observing a clock or sibling traffic while no worker
+//! asks for work, so they poll instead.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::future::Future;
+use std::ops::Range;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use s3a_des::{JoinHandle, Sim, SimTime, Sleep};
-use s3a_faults::FaultKind;
+use s3a_des::{Flag, JoinHandle, Sim, SimTime, Sleep};
+use s3a_faults::{FaultKind, FaultLog};
 use s3a_mpi::{waitall_sends, Comm, Message, ReadyQueue, RecvRequest, SendRequest, Source};
 use s3a_mpiio::File;
+use s3a_obs::{ObsSink, Track};
 use s3a_workload::{Arrival, Workload};
 
-use crate::failure_detector::Liveness;
+use crate::failure_detector::{spawn_heartbeat, Heartbeats};
 use crate::offsets::{BatchState, WorkerPlan};
 use crate::params::{SchedPolicy, ServiceParams, SimParams, Strategy};
 use crate::phase::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::protocol::{
-    Assign, OffsetsMsg, ScoresMsg, TAG_ASSIGN, TAG_HEARTBEAT, TAG_OFFSETS, TAG_SCORES, TAG_WORK_REQ,
+    Assign, OffsetsMsg, ScoresMsg, ShardCtrl, ShardStatus, StealReq, StealResp, CTRL_BYTES,
+    TAG_ASSIGN, TAG_CTRL, TAG_CTRL_ACK, TAG_HEARTBEAT, TAG_MASTER_HB, TAG_OFFSETS, TAG_SCORES,
+    TAG_STATUS, TAG_STEAL_REQ, TAG_STEAL_RESP, TAG_WORK_REQ,
 };
 use crate::resume::CommitTracker;
 use crate::runner::FaultCtx;
 use crate::service::{ServedEvent, ServiceTracker, ShedEvent};
+use crate::shard::{batch_bases, initial_owners, lend_half};
 use crate::trace::TraceSink;
+
+/// Where completed batches land in the output file.
+enum Layout {
+    /// The next free byte: batches take consecutive extents in completion
+    /// order, starting after a resumed run's durable prefix.
+    Cursor(u64),
+    /// Sharded runs: batch `b` always starts at `bases[b]`, so shards lay
+    /// out independently of each other's completion order.
+    Static(Vec<u64>),
+}
 
 /// Scheduling state shared by every mode, prepared once (resume-aware)
 /// after setup.
 struct MasterState {
-    nworkers: usize,
+    /// World ranks of the workers.
+    workers: Range<usize>,
     nq: usize,
     gran: usize,
-    /// Undistributed tasks (empty in service mode, where the arrival
-    /// stream supplies them); requeued tasks are pushed here too.
-    tasks: VecDeque<(usize, usize)>,
-    /// `None` = already written (completed this run, or durable from the
-    /// checkpoint a resumed run starts from), or shed.
+    /// Tasks per query: fragments times `subfragment_factor`.
+    tasks_per_query: usize,
+    /// Undistributed `(query, fragment, owner)` tasks (empty in service
+    /// mode, where the arrival stream supplies them); requeued and stolen
+    /// tasks are pushed here too. The owner is the master rank the scores
+    /// go to: always this rank, except for tasks stolen from a sibling.
+    tasks: VecDeque<(usize, usize, usize)>,
+    /// `None` = not this rank's, already written (completed this run, or
+    /// durable from the checkpoint a resumed run starts from), or shed.
     batches: Vec<Option<BatchState>>,
     batches_left: usize,
-    /// Next free byte of the output file.
-    cursor: u64,
+    layout: Layout,
 }
 
 impl MasterState {
-    fn prepare(params: &SimParams, workload: &Workload, nworkers: usize) -> MasterState {
+    /// `owner_of` maps each batch to its master rank in sharded runs;
+    /// rank `me` prepares only its own batches.
+    fn prepare(
+        params: &SimParams,
+        workload: &Workload,
+        me: usize,
+        owner_of: Option<&[usize]>,
+    ) -> MasterState {
         let nq = workload.queries.len();
-        let nf = workload.params.fragments;
         let gran = params.batch_granularity(nq);
         let nbatches = nq.div_ceil(gran);
         let resume = params.resume_from.clone().unwrap_or_default();
-
-        let batches: Vec<Option<BatchState>> = (0..nbatches)
-            .map(|b| {
-                if resume.done_batches.contains(&b) {
-                    None
-                } else {
-                    let queries: Vec<usize> = (b * gran..((b + 1) * gran).min(nq)).collect();
-                    Some(BatchState::new(b, queries, nf))
-                }
-            })
-            .collect();
-        let batches_left = batches.iter().filter(|b| b.is_some()).count();
-        let tasks: VecDeque<(usize, usize)> = if params.is_service() {
-            VecDeque::new()
+        let layout = if params.sharded() {
+            Layout::Static(batch_bases(workload, gran, nbatches))
         } else {
-            (0..nq)
-                .filter(|q| !resume.done_batches.contains(&(q / gran)))
-                .flat_map(|q| (0..nf).map(move |f| (q, f)))
-                .collect()
+            Layout::Cursor(resume.base_offset)
         };
-
-        MasterState {
-            nworkers,
+        let mut st = MasterState {
+            workers: params.num_masters..params.procs,
             nq,
             gran,
-            tasks,
-            batches,
-            batches_left,
-            cursor: resume.base_offset,
+            tasks_per_query: workload.params.fragments * params.subfragment_factor,
+            tasks: VecDeque::new(),
+            batches: Vec::new(),
+            batches_left: 0,
+            layout,
+        };
+        st.batches = (0..nbatches)
+            .map(|b| {
+                let mine = owner_of.is_none_or(|o| o[b] == me);
+                (mine && !resume.done_batches.contains(&b)).then(|| st.new_batch(b))
+            })
+            .collect();
+        st.batches_left = st.batches.iter().filter(|b| b.is_some()).count();
+        if !params.is_service() {
+            st.tasks = (0..nbatches)
+                .filter(|&b| st.batches[b].is_some())
+                .flat_map(|b| st.batch_tasks(b, me))
+                .collect();
         }
+        st
     }
 
-    fn batch_queries(&self, b: usize) -> usize {
-        ((b + 1) * self.gran).min(self.nq) - b * self.gran
+    fn queries(&self, b: usize) -> Range<usize> {
+        b * self.gran..((b + 1) * self.gran).min(self.nq)
     }
 
-    /// Merge one scores message into its batch.
-    fn record(&mut self, scores: &ScoresMsg, worker: usize) {
+    fn new_batch(&self, b: usize) -> BatchState {
+        BatchState::new(b, self.queries(b).collect(), self.tasks_per_query)
+    }
+
+    /// Batch `b`'s tasks, reporting to `owner`.
+    fn batch_tasks(&self, b: usize, owner: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let n = self.tasks_per_query;
+        self.queries(b)
+            .flat_map(move |q| (0..n).map(move |f| (q, f, owner)))
+    }
+
+    /// Merge one scores message into its batch, credited to `writer`.
+    fn record(&mut self, scores: &ScoresMsg, writer: usize) {
         let b = scores.query / self.gran;
         self.batches[b]
             .as_mut()
-            .unwrap_or_else(|| panic!("scores for already-written batch {b}"))
-            .record(scores.query, scores.fragment, worker, &scores.hits);
+            .unwrap_or_else(|| panic!("scores for batch {b}, which this master does not hold"))
+            .record(scores.query, scores.fragment, writer, &scores.hits);
+    }
+
+    /// Lay out completed batch `b`: its base, per-writer plans and total.
+    fn lay_out(&mut self, b: usize, batch: &BatchState) -> (u64, BTreeMap<usize, WorkerPlan>, u64) {
+        let base = match &self.layout {
+            Layout::Cursor(next) => *next,
+            Layout::Static(bases) => bases[b],
+        };
+        let (plans, total) = batch.assign_offsets(base);
+        if let Layout::Cursor(next) = &mut self.layout {
+            *next += total;
+        }
+        (base, plans, total)
     }
 }
 
@@ -456,12 +512,7 @@ struct RepairBundle {
 
 /// Worker-liveness state, present when worker crashes are armed.
 struct Recovery {
-    ctx: FaultCtx,
-    /// Poll tick: the heartbeat interval.
-    tick: SimTime,
-    liveness: Liveness,
-    hb_rx: RecvRequest,
-    /// Index 0 (the master itself) is unused in these per-rank tables.
+    /// Per world rank; the master's own entry is unused.
     alive: Vec<bool>,
     dead: usize,
     in_flight: BTreeMap<usize, Vec<(usize, usize)>>,
@@ -473,19 +524,6 @@ struct Recovery {
 }
 
 impl Recovery {
-    /// Consume every queued heartbeat, refreshing the senders' liveness.
-    /// Called again right before the detection scan because loop
-    /// iterations can block (MW batch writes) for longer than the
-    /// detection timeout. The boundary rule itself lives in
-    /// [`crate::failure_detector`].
-    fn drain_heartbeats(&mut self, comm: &Comm, now: SimTime) {
-        while let Some(m) = self.hb_rx.test() {
-            let (_, status) = m.into_parts::<()>();
-            self.liveness.refresh(status.source, now);
-            self.hb_rx = comm.irecv(Source::Any, TAG_HEARTBEAT);
-        }
-    }
-
     /// No task or repair is out with a worker and none is queued.
     fn settled(&self) -> bool {
         self.repairs.is_empty()
@@ -494,11 +532,121 @@ impl Recovery {
     }
 }
 
+/// Sharded-master state, present when `num_masters > 1`. Rank 0 doubles
+/// as the *coordinator*: it collects per-shard progress reports, drives
+/// the two-phase shutdown quiesce (`Prepare` → `PrepareAck` → `AllDone`)
+/// that guarantees no steal traffic is in flight when the first `Done`
+/// is issued, and — with a master-crash schedule armed — detects silent
+/// standbys from their heartbeats.
+struct Shards {
+    /// Batch → owning master rank.
+    owner_of: Vec<usize>,
+    /// World rank → home master (entries below `m` unused).
+    home_of: Vec<usize>,
+    /// Per master rank; its length is the shard count `m`.
+    alive: Vec<bool>,
+    /// Exactly-once guard: every `(query, sub-fragment)` this shard has
+    /// accepted a score for. Failover can double-execute a task (an
+    /// in-flight assignment plus a rebuild/re-enqueue); the second report
+    /// is dropped before it can over-report the batch.
+    scored: BTreeSet<(usize, usize)>,
+    /// Tasks lent to thieves, so a thief's death re-enqueues them.
+    lent: BTreeMap<(usize, usize), usize>,
+    /// Re-enqueued tasks of a dead thief whose re-execution merges
+    /// locally (WW). A late shipped copy from the dead thief's worker must
+    /// not win the exactly-once race against a re-execution already out,
+    /// or that worker would keep a merge no layout covers.
+    reclaimed: BTreeSet<(usize, usize)>,
+    scores_rx: RecvRequest,
+    streq_rx: RecvRequest,
+    status_rx: RecvRequest,
+    /// Purge acknowledgements (master crashes armed).
+    ack_rx: Option<RecvRequest>,
+    epoch: u64,
+    quiesced: bool,
+    prepare_acked: bool,
+    all_done: bool,
+    last_report: Option<(bool, bool)>,
+    /// Consecutive empty steal responses; at the number of alive siblings
+    /// the shard stops asking (fault-free queues only ever drain, so
+    /// all-empty stays all-empty; a failover resets the streak).
+    empty_streak: usize,
+    next_victim: usize,
+    /// `(victim, response receive, request time)`.
+    outstanding_steal: Option<(usize, RecvRequest, SimTime)>,
+    /// Coordinator: each shard's last `(resolved, stealing)` report in
+    /// the current epoch (index 0 mirrors its own state).
+    remote: Vec<Option<(bool, bool)>>,
+    acked: Vec<bool>,
+    prepare_outstanding: bool,
+    my_crash: Option<SimTime>,
+    /// Successor bookkeeping: rebuilt tasks are quarantined until every
+    /// worker has acknowledged the purge of its stale local merges, and
+    /// the takeover span runs from detection to quarantine release.
+    ack_wait: BTreeMap<usize, usize>,
+    quarantine: BTreeMap<usize, Vec<(usize, usize, usize)>>,
+    takeover_start: BTreeMap<usize, SimTime>,
+    obs: ObsSink,
+}
+
+impl Shards {
+    fn new(
+        comm: &Comm,
+        params: &SimParams,
+        faults: Option<&FaultCtx>,
+        nbatches: usize,
+        obs: ObsSink,
+    ) -> Shards {
+        let (me, procs, m) = (comm.rank(), comm.size(), params.num_masters);
+        let armed = faults.is_some_and(|f| f.schedule.params().master_crashes());
+        Shards {
+            owner_of: initial_owners(nbatches, m),
+            // Worker rank w is homed to shard (w - m) % m.
+            home_of: (0..procs).map(|w| w.saturating_sub(m) % m).collect(),
+            alive: vec![true; m],
+            scored: BTreeSet::new(),
+            lent: BTreeMap::new(),
+            reclaimed: BTreeSet::new(),
+            scores_rx: comm.irecv(Source::Any, TAG_SCORES),
+            streq_rx: comm.irecv(Source::Any, TAG_STEAL_REQ),
+            status_rx: comm.irecv(Source::Any, TAG_STATUS),
+            ack_rx: armed.then(|| comm.irecv(Source::Any, TAG_CTRL_ACK)),
+            epoch: 0,
+            quiesced: false,
+            prepare_acked: false,
+            all_done: false,
+            last_report: None,
+            empty_streak: 0,
+            next_victim: (me + 1) % m,
+            outstanding_steal: None,
+            remote: vec![None; m],
+            acked: vec![false; m],
+            prepare_outstanding: false,
+            my_crash: faults.and_then(|f| f.schedule.master_crash_time(me)),
+            ack_wait: BTreeMap::new(),
+            quarantine: BTreeMap::new(),
+            takeover_start: BTreeMap::new(),
+            obs,
+        }
+    }
+
+    /// Some shard-plane receive is consumable.
+    fn ready(&self) -> bool {
+        self.scores_rx.ready()
+            || self.streq_rx.ready()
+            || self.status_rx.ready()
+            || self
+                .outstanding_steal
+                .as_ref()
+                .is_some_and(|(_, rx, _)| rx.ready())
+            || self.ack_rx.as_ref().is_some_and(RecvRequest::ready)
+    }
+}
+
 /// Suspends a polling loop until `ready` holds, the rank's mailbox sees
 /// activity, or `sleep` (if any) fires. All traffic bound for one rank
 /// lands in one mailbox, so a single watch registration on any of its
-/// receives covers every wake source. Used by the master, the shard
-/// masters and the workers alike.
+/// receives covers every wake source. Used by masters and workers alike.
 pub(crate) struct Wake<'a, F> {
     pub(crate) watch: &'a RecvRequest,
     pub(crate) ready: F,
@@ -529,13 +677,27 @@ struct Master<'a> {
     file: &'a File,
     timer: &'a PhaseTimer,
     commits: &'a CommitTracker,
+    /// This master's world rank.
+    me: usize,
     st: MasterState,
     /// Service task source; `None` = the batch list in `st.tasks`.
     svc: Option<ServiceQueue>,
-    /// Liveness detector; `None` = off.
+    /// Worker-liveness state; `None` = off.
     rec: Option<Recovery>,
+    /// The heartbeats this rank watches: workers' under worker crashes,
+    /// standby masters' at the coordinator under master crashes.
+    beats: Option<Heartbeats>,
+    /// The heartbeat interval while crashes are armed: the idle tick that
+    /// keeps the detection clock re-checked.
+    hb_tick: Option<SimTime>,
+    /// Stops this rank's heartbeat sender (a standby master's).
+    hb_stop: Flag,
+    log: Option<FaultLog>,
+    /// Sharded-master state; `None` = one master.
+    shards: Option<Shards>,
     scores: ScoreBoard,
-    offset_sends: Vec<SendRequest>,
+    /// Offset lists, steal responses and re-home notices in flight.
+    sends: Vec<SendRequest>,
     /// TAG_OFFSETS messages sent per worker, carried in the service
     /// shutdown assignment so workers know exactly how many to drain
     /// (shed queries make the count underivable from the workload).
@@ -547,8 +709,11 @@ struct Master<'a> {
     notify_all: bool,
 }
 
-/// Run the master on `comm` (the world communicator, rank 0). `file` must
-/// be opened on a master-only communicator; it is used only by MW.
+/// Run master rank `comm.rank()` (`0..num_masters`) on `comm`, the world
+/// communicator; rank 0 is the broadcast root and, when sharded, the
+/// coordinator. `file` must be opened on a communicator holding only this
+/// master: its writes (MW batches, shipped shard results) are
+/// independent operations.
 #[allow(clippy::too_many_arguments)]
 pub async fn run_master(
     sim: Sim,
@@ -560,37 +725,61 @@ pub async fn run_master(
     commits: CommitTracker,
     faults: Option<FaultCtx>,
     service: Option<ServiceTracker>,
+    obs: ObsSink,
 ) -> PhaseBreakdown {
-    let timer = PhaseTimer::with_trace(&sim, 0, trace);
+    let me = comm.rank();
+    let procs = comm.size();
+    let timer = PhaseTimer::with_trace(&sim, me, trace);
 
     // Step 1: distribute input variables.
     timer
-        .track(Phase::Setup, comm.bcast(0, Some(()), 1024))
+        .track(Phase::Setup, comm.bcast(0, (me == 0).then_some(()), 1024))
         .await;
 
-    let nworkers = comm.size() - 1;
-    let rec = faults.filter(|f| f.schedule.params().crashes()).map(|ctx| {
-        let fp = ctx.schedule.params();
-        Recovery {
-            tick: fp.heartbeat_interval,
-            liveness: Liveness::new(nworkers + 1, sim.now(), fp.detection_timeout),
-            hb_rx: comm.irecv(Source::Any, TAG_HEARTBEAT),
-            alive: vec![true; nworkers + 1],
-            dead: 0,
-            in_flight: BTreeMap::new(),
-            in_flight_repairs: BTreeMap::new(),
-            repairs: VecDeque::new(),
-            saved_plans: BTreeMap::new(),
-            ctx,
-        }
+    let fp = faults.as_ref().map(|f| f.schedule.params());
+    let hb_tick = fp
+        .filter(|p| p.crashes() || p.master_crashes())
+        .map(|p| p.heartbeat_interval);
+    // Standby masters heartbeat the coordinator while a master-crash
+    // schedule is armed.
+    let hb_stop = Flag::new(&sim);
+    if let (Some(tick), true) = (hb_tick, me != 0) {
+        let name = format!("master-heartbeat-{me}");
+        spawn_heartbeat(&sim, &comm, name, TAG_MASTER_HB, tick, hb_stop.clone());
+    }
+    let beats = fp.and_then(|p| {
+        let (tag, n) = if p.crashes() {
+            (TAG_HEARTBEAT, procs)
+        } else if p.master_crashes() && me == 0 {
+            (TAG_MASTER_HB, params.num_masters)
+        } else {
+            return None;
+        };
+        Some(Heartbeats::new(&comm, tag, n, p.detection_timeout))
     });
-    let liveness = rec.is_some();
+    let shards = params.sharded().then(|| {
+        let nbatches = workload
+            .queries
+            .len()
+            .div_ceil(params.batch_granularity(workload.queries.len()));
+        Shards::new(&comm, &params, faults.as_ref(), nbatches, obs)
+    });
+    let rec = fp.filter(|p| p.crashes()).map(|_| Recovery {
+        alive: vec![true; procs],
+        dead: 0,
+        in_flight: BTreeMap::new(),
+        in_flight_repairs: BTreeMap::new(),
+        repairs: VecDeque::new(),
+        saved_plans: BTreeMap::new(),
+    });
     let svc = service.map(|t| {
         let sp = params
             .service()
             .expect("tracker exists only in service mode");
         ServiceQueue::new(sp, t, &workload)
     });
+    let owner_of = shards.as_ref().map(|s| &s.owner_of[..]);
+    let st = MasterState::prepare(&params, &workload, me, owner_of);
     let mut master = Master {
         sim: &sim,
         comm: &comm,
@@ -599,22 +788,28 @@ pub async fn run_master(
         file: &file,
         timer: &timer,
         commits: &commits,
-        st: MasterState::prepare(&params, &workload, nworkers),
+        me,
+        st,
         svc,
         rec,
+        beats,
+        hb_tick,
+        hb_stop,
+        log: faults.as_ref().map(|f| f.log.clone()),
+        shards,
         scores: ScoreBoard::new(),
-        offset_sends: Vec::new(),
-        sent_offsets: vec![0; nworkers + 1],
-        done: vec![false; nworkers + 1],
+        sends: Vec::new(),
+        sent_offsets: vec![0; procs],
+        done: vec![false; procs],
         ndone: 0,
         pending_io: None,
         notify_all: params.strategy.inherently_synchronizing() || params.query_sync,
     };
-    master.run().await;
+    let crashed = master.run().await;
 
-    // Step 20/21: final synchronization before exit — impossible once
-    // worker crashes are armed (a dead worker can never arrive).
-    if !liveness {
+    // Step 20/21's final barrier is impossible once crashes are armed: a
+    // dead rank can never arrive.
+    if hb_tick.is_none() && !crashed {
         timer.track(Phase::Sync, comm.barrier()).await;
     }
 
@@ -624,34 +819,32 @@ pub async fn run_master(
 }
 
 impl Master<'_> {
-    async fn run(&mut self) {
-        let nworkers = self.st.nworkers;
-        // Fault-free batch runs block on the next work request; the other
-        // modes keep one receive posted and poll it.
-        let mut wr_rx = (self.svc.is_some() || self.rec.is_some())
-            .then(|| self.comm.irecv(Source::Any, TAG_WORK_REQ));
+    /// The loop; returns true when this master fail-stopped.
+    async fn run(&mut self) -> bool {
+        let nworkers = self.st.workers.len();
+        // Fault-free single-master batch runs block on the next work
+        // request; the other modes keep one receive posted and poll it.
+        let polled = self.svc.is_some() || self.rec.is_some() || self.shards.is_some();
+        let mut wr_rx = polled.then(|| self.comm.irecv(Source::Any, TAG_WORK_REQ));
 
         loop {
-            // Intake: client arrivals, heartbeats.
+            if self.fail_stop().await {
+                return true;
+            }
+
+            // Intake: client arrivals, heartbeats, shard control traffic.
             let now = self.sim.now();
             if let Some(q) = &mut self.svc {
                 q.admit(now, &mut self.st);
             }
-            if let Some(r) = &mut self.rec {
-                r.drain_heartbeats(self.comm, now);
+            if let Some(h) = &mut self.beats {
+                h.drain(self.comm, now);
             }
+            self.control_intake();
 
             // Steps 10–19: drain any results that have arrived, then
             // handle batches that are now complete.
-            let (st, rec) = (&mut self.st, &mut self.rec);
-            self.scores.drain(|msg| {
-                let (scores, status) = msg.into_parts::<ScoresMsg>();
-                let w = status.source;
-                if let Some(v) = rec.as_mut().and_then(|r| r.in_flight.get_mut(&w)) {
-                    v.retain(|&t| t != (scores.query, scores.fragment));
-                }
-                st.record(&scores, w);
-            });
+            self.intake_scores();
             if let Some(r) = &mut self.rec {
                 // A repair is finished once its batch no longer owes the
                 // dead rank's write (the survivor completes it through the
@@ -661,7 +854,14 @@ impl Master<'_> {
                 }
             }
             self.flush().await;
-            self.detect();
+            self.detect().await;
+
+            // The shard control plane (no-ops with one master).
+            self.steal_intake();
+            self.lend();
+            self.report_progress().await;
+            self.ack_quiesce().await;
+            self.coordinate_shutdown().await;
 
             let Some(wr) = &mut wr_rx else {
                 // Steps 3–9: answer one work request, or wind down.
@@ -675,7 +875,8 @@ impl Master<'_> {
                         .await;
                     // No task is ever requeued, so a worker that finds the
                     // list empty is done.
-                    self.answer(req.status.source, true).await;
+                    let resolved = self.st.tasks.is_empty();
+                    self.answer(req.status.source, resolved).await;
                 } else if let Some(req) = self.scores.pop() {
                     // Everything is scheduled; block for the stragglers'
                     // results.
@@ -693,17 +894,24 @@ impl Master<'_> {
                 continue;
             };
 
-            // The run is resolved once every task was handed out and
-            // reported back, every batch's output was flushed, and every
-            // write is durable.
-            let resolved = self.st.tasks.is_empty()
-                && self.svc.as_ref().is_none_or(ServiceQueue::exhausted)
-                && match &self.rec {
-                    Some(r) => r.settled(),
-                    None => self.scores.is_empty(),
+            // One master's run is resolved once every task was handed out
+            // and reported back, every batch's output was flushed, and
+            // every write is durable. Sharded runs resolve through the
+            // coordinator's quiesce, which certifies scoring, not
+            // durability.
+            let resolved = match &self.shards {
+                Some(s) => s.all_done,
+                None => {
+                    self.st.tasks.is_empty()
+                        && self.svc.as_ref().is_none_or(ServiceQueue::exhausted)
+                        && match &self.rec {
+                            Some(r) => r.settled(),
+                            None => self.scores.is_empty(),
+                        }
+                        && self.st.batches_left == 0
+                        && self.commits.pending_empty()
                 }
-                && self.st.batches_left == 0
-                && self.commits.pending_empty();
+            };
             let dead = self.rec.as_ref().map_or(0, |r| r.dead);
             if dead == nworkers && !resolved {
                 panic!("all workers failed; the run cannot complete");
@@ -715,49 +923,203 @@ impl Master<'_> {
                 *wr = self.comm.irecv(Source::Any, TAG_WORK_REQ);
                 let alive = self.rec.as_ref().is_none_or(|r| r.alive[w]);
                 if alive && !self.done[w] {
-                    if let Some(r) = &mut self.rec {
-                        r.liveness.refresh(w, self.sim.now());
+                    if let (Some(_), Some(h)) = (&self.rec, &mut self.beats) {
+                        h.liveness.refresh(w, self.sim.now());
                     }
                     self.answer(w, resolved).await;
                 }
                 continue;
             }
 
-            if self.ndone + dead == nworkers {
+            // Exit once every worker homed here was dismissed (or died).
+            let finished = match &self.shards {
+                None => self.ndone + dead == nworkers,
+                Some(s) => {
+                    s.all_done
+                        && self
+                            .st
+                            .workers
+                            .clone()
+                            .filter(|&w| s.home_of[w] == self.me)
+                            .all(|w| self.done[w])
+                }
+            };
+            if finished {
                 break;
             }
 
             // Idle: wake on mailbox activity, a live score, or the tick
             // (the next arrival or poll interval in service mode, the
-            // heartbeat interval under liveness).
-            let tick = match (&self.svc, &self.rec) {
-                (Some(q), _) => q.idle_delay(self.sim.now()),
-                (None, Some(r)) => r.tick,
-                (None, None) => unreachable!("only polled runs idle"),
+            // heartbeat interval under either liveness). Fault-free shards
+            // carry no timer: workers re-polling on `Wait` drive them.
+            let tick = match &self.svc {
+                Some(q) => Some(q.idle_delay(self.sim.now())),
+                None => self.hb_tick,
             };
             // A score landing for a dead worker is not a live one and
             // must not wake the master (that would move detection times).
-            let (hb, scores) = (self.rec.as_ref().map(|r| &r.hb_rx), &self.scores);
-            let ready = || wr.ready() || hb.is_some_and(RecvRequest::ready) || scores.has_ready();
+            let (beats, scores, shards) = (&self.beats, &self.scores, &self.shards);
+            let ready = || {
+                wr.ready()
+                    || beats.as_ref().is_some_and(Heartbeats::ready)
+                    || scores.has_ready()
+                    || shards.as_ref().is_some_and(Shards::ready)
+            };
             self.timer
                 .track(
                     Phase::DataDistribution,
                     Wake {
                         watch: wr,
                         ready,
-                        sleep: Some(self.sim.sleep(tick)),
+                        sleep: tick.map(|t| self.sim.sleep(t)),
                     },
                 )
                 .await;
         }
 
         debug_assert!(self.scores.is_empty(), "scores pending after shutdown");
+        self.hb_stop.set();
         if let Some(h) = self.pending_io.take() {
             self.timer.track(Phase::Io, h.join()).await;
         }
         self.timer
-            .track(Phase::GatherResults, waitall_sends(&self.offset_sends))
+            .track(Phase::GatherResults, waitall_sends(&self.sends))
             .await;
+        false
+    }
+
+    /// A standby master's scheduled fail-stop, taken at the top of the
+    /// loop, the only obligation-free moment: layout writes complete within
+    /// their own iteration and a background MW write is joined first, so a
+    /// dead shard never owes an extent. Suppressed once the quiesce has
+    /// begun: the coordinator stops detecting the moment AllDone is
+    /// broadcast. Returns true when the crash took effect.
+    async fn fail_stop(&mut self) -> bool {
+        let Some(s) = &self.shards else { return false };
+        if s.quiesced || s.all_done || s.my_crash.is_none_or(|t| self.sim.now() < t) {
+            return false;
+        }
+        if let Some(h) = self.pending_io.take() {
+            self.timer.track(Phase::Io, h.join()).await;
+        }
+        self.hb_stop.set();
+        let log = self.log.as_ref().expect("crashes armed");
+        log.record(self.sim.now(), FaultKind::MasterCrashed { rank: self.me });
+        self.comm.mark_failed();
+        true
+    }
+
+    /// Shard control intake: purge acknowledgements, then the status
+    /// channel — reports and acks at the coordinator, quiesce and failover
+    /// notices at the shards.
+    fn control_intake(&mut self) {
+        let (sim, comm, me) = (self.sim, self.comm, self.me);
+        let Some(s) = &mut self.shards else { return };
+        // Once every worker has dropped its stale merges for a dead
+        // shard's rebuilt batches, release them.
+        if let Some(rx) = &mut s.ack_rx {
+            while let Some(msg) = rx.test() {
+                *rx = comm.irecv(Source::Any, TAG_CTRL_ACK);
+                let (dead, _) = msg.into_parts::<usize>();
+                let Some(rem) = s.ack_wait.get_mut(&dead) else {
+                    continue;
+                };
+                *rem -= 1;
+                if *rem > 0 {
+                    continue;
+                }
+                s.ack_wait.remove(&dead);
+                let released = s.quarantine.remove(&dead).unwrap_or_default();
+                s.obs.span(
+                    Track::Rank(me),
+                    "shard.takeover",
+                    s.takeover_start.remove(&dead).unwrap_or_else(|| sim.now()),
+                    sim.now(),
+                    &[("dead", dead as u64), ("tasks", released.len() as u64)],
+                );
+                self.st.tasks.extend(released);
+            }
+        }
+        loop {
+            let Some(s) = &mut self.shards else { return };
+            let Some(msg) = s.status_rx.test() else {
+                return;
+            };
+            s.status_rx = comm.irecv(Source::Any, TAG_STATUS);
+            match msg.into_parts::<ShardStatus>().0 {
+                ShardStatus::Report {
+                    shard,
+                    epoch,
+                    resolved,
+                    stealing,
+                } => {
+                    if me == 0 && epoch == s.epoch {
+                        s.remote[shard] = Some((resolved, stealing));
+                    }
+                }
+                ShardStatus::PrepareAck { shard, epoch } => {
+                    if me == 0 && epoch == s.epoch {
+                        s.acked[shard] = true;
+                    }
+                }
+                ShardStatus::Prepare { epoch } => {
+                    if epoch == s.epoch {
+                        s.quiesced = true;
+                    }
+                }
+                ShardStatus::AllDone => s.all_done = true,
+                ShardStatus::MasterDead {
+                    dead,
+                    successor,
+                    epoch,
+                } => {
+                    s.epoch = epoch;
+                    self.on_master_dead(dead, successor);
+                }
+            }
+        }
+    }
+
+    /// Merge every score that has arrived into its batch.
+    fn intake_scores(&mut self) {
+        let (comm, me) = (self.comm, self.me);
+        let (st, rec) = (&mut self.st, &mut self.rec);
+        match &mut self.shards {
+            None => self.scores.drain(|msg| {
+                let (scores, status) = msg.into_parts::<ScoresMsg>();
+                let w = status.source;
+                if let Some(v) = rec.as_mut().and_then(|r| r.in_flight.get_mut(&w)) {
+                    v.retain(|&t| t != (scores.query, scores.fragment));
+                }
+                st.record(&scores, w);
+            }),
+            // One any-source receive: a stolen task's owner does not know
+            // which worker ran it. Shipped results (stolen tasks, all MW
+            // tasks) are credited to this rank — the data rode along and
+            // this master writes it at layout.
+            Some(s) => {
+                while let Some(msg) = s.scores_rx.test() {
+                    s.scores_rx = comm.irecv(Source::Any, TAG_SCORES);
+                    let (scores, status) = msg.into_parts::<ScoresMsg>();
+                    let key = (scores.query, scores.fragment);
+                    if s.scored.contains(&key) {
+                        continue;
+                    }
+                    if scores.shipped && s.reclaimed.remove(&key) {
+                        // The dead thief's worker ran it after all: take
+                        // this copy only while the re-execution is still
+                        // queued, and cancel that.
+                        let Some(p) = st.tasks.iter().position(|t| (t.0, t.1) == key) else {
+                            continue;
+                        };
+                        st.tasks.remove(p);
+                    }
+                    s.scored.insert(key);
+                    s.lent.remove(&key);
+                    st.record(&scores, if scores.shipped { me } else { status.source });
+                }
+            }
+        }
     }
 
     /// Completed batches: lay out offsets, then write (MW) or tell each
@@ -773,46 +1135,62 @@ impl Master<'_> {
             }
             let batch = self.st.batches[b].take().expect("checked above");
             self.st.batches_left -= 1;
-            let base = self.st.cursor;
-            let (plans, total) = batch.assign_offsets(base);
-            self.st.cursor += total;
-            let queries = self.st.batch_queries(b);
+            let (base, plans, total) = self.st.lay_out(b, &batch);
+            let queries = self.st.queries(b).len();
             let now = self.sim.now();
             if let Some(q) = &self.svc {
                 q.served(b, now);
             }
 
             if self.params.strategy == Strategy::Mw {
-                let writers = if total > 0 { vec![0] } else { Vec::new() };
+                let writers = if total > 0 { vec![self.me] } else { Vec::new() };
                 self.commits.expect(b, writers, queries, total, base, now);
                 if total > 0 {
                     self.write_batch(b, base, total).await;
                 }
                 if self.params.query_sync {
-                    for w in 1..=self.st.nworkers {
+                    for w in self.st.workers.clone() {
                         self.send_offsets(w, b, Vec::new());
                     }
                 }
+                continue;
+            }
+            let writers = batch.contributing_workers();
+            self.commits
+                .expect(b, writers.clone(), queries, total, base, now);
+            // Results shipped to this shard (stolen tasks): write its own
+            // share right away, so a fail-stop never owes an extent.
+            if let Some(plan) = plans.get(&self.me) {
+                self.timer
+                    .track(
+                        Phase::Io,
+                        self.file
+                            .write_regions(&plan.regions, self.params.strategy.write_method()),
+                    )
+                    .await
+                    .unwrap_or_else(|e| crate::runner::io_failure(e));
+                self.timer
+                    .track(Phase::Io, self.file.sync())
+                    .await
+                    .unwrap_or_else(|e| crate::runner::io_failure(e));
+                self.commits.complete_by(b, self.me, self.sim.now());
+            }
+            // Step 15: hand out the location lists. A writer that died a
+            // moment ago (not yet detected) gets its message absorbed by
+            // the failed mailbox; detection will turn its share into a
+            // repair bundle.
+            let targets: Vec<usize> = if self.notify_all {
+                self.st.workers.clone().collect()
             } else {
-                let writers = batch.contributing_workers();
-                self.commits
-                    .expect(b, writers.clone(), queries, total, base, now);
-                // Step 15: hand out the location lists. A writer that died
-                // a moment ago (not yet detected) gets its message
-                // absorbed by the failed mailbox; detection will turn its
-                // share into a repair bundle.
-                let targets: Vec<usize> = if self.notify_all {
-                    (1..=self.st.nworkers).collect()
-                } else {
-                    writers
-                };
-                for w in targets {
-                    let offsets = plans.get(&w).map(|p| p.offsets.clone()).unwrap_or_default();
-                    self.send_offsets(w, b, offsets);
-                }
-                if let Some(r) = &mut self.rec {
-                    r.saved_plans.insert(b, plans);
-                }
+                writers
+            };
+            let me = self.me;
+            for w in targets.into_iter().filter(|&w| w != me) {
+                let offsets = plans.get(&w).map(|p| p.offsets.clone()).unwrap_or_default();
+                self.send_offsets(w, b, offsets);
+            }
+            if let Some(r) = &mut self.rec {
+                r.saved_plans.insert(b, plans);
             }
         }
     }
@@ -823,6 +1201,7 @@ impl Master<'_> {
     /// in the background and only the *previous* batch's completion is
     /// awaited (bounded buffering).
     async fn write_batch(&mut self, b: usize, base: u64, total: u64) {
+        let me = self.me;
         if self.params.mw_nonblocking_io {
             if let Some(h) = self.pending_io.take() {
                 self.timer.track(Phase::Io, h.join()).await;
@@ -838,7 +1217,7 @@ impl Master<'_> {
                 fh.sync(ep)
                     .await
                     .unwrap_or_else(|e| crate::runner::io_failure(e));
-                commits.complete_by(b, 0, sim.now());
+                commits.complete_by(b, me, sim.now());
             }));
         } else {
             self.timer
@@ -849,26 +1228,27 @@ impl Master<'_> {
                 .track(Phase::Io, self.file.sync())
                 .await
                 .unwrap_or_else(|e| crate::runner::io_failure(e));
-            self.commits.complete_by(b, 0, self.sim.now());
+            self.commits.complete_by(b, me, self.sim.now());
         }
     }
 
     fn send_offsets(&mut self, w: usize, batch: usize, offsets: Vec<u64>) {
         let msg = OffsetsMsg { batch, offsets };
         let bytes = msg.wire_bytes();
-        self.offset_sends
-            .push(self.comm.isend(w, TAG_OFFSETS, msg, bytes));
+        self.sends.push(self.comm.isend(w, TAG_OFFSETS, msg, bytes));
         self.sent_offsets[w] += 1;
     }
 
     /// Answer worker `w`'s work request: a repair first (so the output's
-    /// durable prefix closes as early as possible), then a fresh task,
-    /// then — once the run is `resolved` — end-of-work, else `Wait`.
+    /// durable prefix closes as early as possible), then — once the run
+    /// is `resolved` — end-of-work, else a task, else `Wait` (an idle
+    /// shard first tries to steal).
     async fn answer(&mut self, w: usize, resolved: bool) {
         let now = self.sim.now();
+        let log = &self.log;
         let repair = self.rec.as_mut().and_then(|r| {
             let bundle = r.repairs.pop_front()?;
-            r.ctx.log.record(
+            log.as_ref().expect("crashes armed").record(
                 now,
                 FaultKind::BatchRepaired {
                     batch: bundle.batch,
@@ -881,13 +1261,14 @@ impl Master<'_> {
                 .push(bundle.clone());
             Some(bundle)
         });
-        let task = if repair.is_some() {
+        let task = if repair.is_some() || resolved {
             None
         } else {
-            self.st
-                .tasks
-                .pop_front()
-                .or_else(|| self.svc.as_mut().and_then(|q| q.pick(now, self.workload)))
+            let me = self.me;
+            self.st.tasks.pop_front().or_else(|| {
+                let (q, f) = self.svc.as_mut()?.pick(now, self.workload)?;
+                Some((q, f, me))
+            })
         };
         let assign = if let Some(r) = repair {
             Assign::Repair {
@@ -897,14 +1278,29 @@ impl Master<'_> {
                 bytes: r.plan.bytes,
                 regions: r.plan.regions,
             }
-        } else if let Some((query, fragment)) = task {
+        } else if let Some((query, fragment, owner)) = task {
+            if let Some(s) = &self.shards {
+                let depth = self.st.tasks.len() as u64;
+                s.obs
+                    .sample(Track::Rank(self.me), "shard.queue_depth", now, depth);
+            }
             if let Some(r) = &mut self.rec {
                 r.in_flight.entry(w).or_default().push((query, fragment));
             }
             // Step 8: post the receive for this task's scores first so
             // the progress engine can match it whenever it arrives.
-            self.scores.push(w, self.comm.irecv(w, TAG_SCORES));
-            Assign::Task { query, fragment }
+            // (Sharded masters keep one any-source receive instead.)
+            if self.shards.is_none() {
+                self.scores.push(w, self.comm.irecv(w, TAG_SCORES));
+            }
+            // Ship rule: results cross shards (stolen work), or the
+            // master writes everything anyway (MW).
+            Assign::ShardTask {
+                query,
+                fragment,
+                owner,
+                ship: owner != self.me || self.params.strategy == Strategy::Mw,
+            }
         } else if resolved {
             self.done[w] = true;
             self.ndone += 1;
@@ -915,6 +1311,7 @@ impl Master<'_> {
                 None => Assign::Done,
             }
         } else {
+            self.try_steal().await;
             Assign::Wait
         };
         let bytes = assign.wire_bytes();
@@ -929,17 +1326,19 @@ impl Master<'_> {
     /// Failure detection: silence beyond the timeout is death. Drains
     /// heartbeats again first — the MW write in `flush` can block the
     /// master for longer than the timeout, and heartbeats that arrived
-    /// during its own blindness must not read as worker silence.
-    fn detect(&mut self) {
-        let Some(r) = &mut self.rec else { return };
+    /// during its own blindness must not read as silence.
+    async fn detect(&mut self) {
         let now = self.sim.now();
-        r.drain_heartbeats(self.comm, now);
-        for w in 1..=self.st.nworkers {
-            let r = self.rec.as_ref().expect("liveness on");
-            if r.alive[w] && !self.done[w] && r.liveness.silent(w, now) {
+        let Some(h) = &mut self.beats else { return };
+        h.drain(self.comm, now);
+        for w in self.st.workers.clone() {
+            let Some(r) = &self.rec else { break };
+            let h = self.beats.as_ref().expect("drained above");
+            if r.alive[w] && !self.done[w] && h.liveness.silent(w, now) {
                 self.on_death(w);
             }
         }
+        self.detect_masters().await;
     }
 
     /// Declare worker `w` dead and fold its obligations back into the
@@ -950,7 +1349,7 @@ impl Master<'_> {
         let r = self.rec.as_mut().expect("liveness on");
         r.alive[w] = false;
         r.dead += 1;
-        let log = &r.ctx.log;
+        let log = self.log.as_ref().expect("crashes armed");
         log.record(now, FaultKind::WorkerDetected { rank: w });
 
         // A score message from the dead rank may still be on the wire.
@@ -971,7 +1370,7 @@ impl Master<'_> {
         }
         for (query, fragment) in requeue {
             log.record(now, FaultKind::TaskReassigned { query, fragment });
-            self.st.tasks.push_back((query, fragment));
+            self.st.tasks.push_back((query, fragment, self.me));
         }
 
         // Writes it still owed for batches whose layout was already fixed.
@@ -989,4 +1388,349 @@ impl Master<'_> {
             });
         }
     }
+
+    /// Coordinator: a standby silent strictly longer than the timeout is
+    /// dead; the next alive master cyclically after it succeeds it, and
+    /// every other survivor is told. Off once the quiesce has completed —
+    /// a standby that received AllDone exits (and stops heartbeating)
+    /// while still marked alive here, and no standby can crash after
+    /// acking Prepare, so a post-AllDone silence is always a clean exit.
+    async fn detect_masters(&mut self) {
+        let (sim, comm, timer) = (self.sim, self.comm, self.timer);
+        let Some(s) = &self.shards else { return };
+        if s.all_done {
+            return;
+        }
+        let m = s.alive.len();
+        for dead in 1..m {
+            let h = self
+                .beats
+                .as_ref()
+                .expect("the coordinator watches standbys");
+            let s = self.shards.as_mut().expect("sharded");
+            if !s.alive[dead] || !h.liveness.silent(dead, sim.now()) {
+                continue;
+            }
+            let log = self.log.as_ref().expect("crashes armed");
+            log.record(sim.now(), FaultKind::MasterDetected { rank: dead });
+            let successor = (1..m)
+                .map(|d| (dead + d) % m)
+                .find(|&c| s.alive[c])
+                .expect("rank 0 never crashes, so a successor exists");
+            s.epoch += 1;
+            s.remote = vec![None; m];
+            s.acked = vec![false; m];
+            s.prepare_outstanding = false;
+            let notice = ShardStatus::MasterDead {
+                dead,
+                successor,
+                epoch: s.epoch,
+            };
+            for t in (1..m).filter(|&t| s.alive[t] && t != dead) {
+                tell(timer, comm, t, notice, Phase::Recovery).await;
+            }
+            self.on_master_dead(dead, successor);
+        }
+    }
+
+    /// Fold a dead master's obligations into the survivors, the sharded
+    /// counterpart of [`Master::on_death`]: purge its queue entries,
+    /// reclaim tasks lent to it, re-home its workers, and — at the
+    /// successor — adopt its batches, rebuilding the ones that died
+    /// without a layout (their scores existed only in its memory).
+    fn on_master_dead(&mut self, dead: usize, successor: usize) {
+        let me = self.me;
+        let s = self.shards.as_mut().expect("sharded");
+        s.alive[dead] = false;
+        // The failover epoch bumped: any quiesce in progress is void,
+        // steal pausing restarts (the successor's queue may have
+        // refilled), and every survivor re-reports.
+        s.quiesced = false;
+        s.prepare_acked = false;
+        s.empty_streak = 0;
+        s.last_report = None;
+
+        // Workers homed to the dead shard re-home to the successor (the
+        // successor tells them via `Rehome`; this map keeps every master's
+        // view of homing consistent for its own exit condition).
+        for h in &mut s.home_of {
+            if *h == dead {
+                *h = successor;
+            }
+        }
+
+        // Stolen-from-the-dead tasks can no longer be reported anywhere
+        // (their owner is gone); the successor rebuilds their batches.
+        self.st.tasks.retain(|&(_, _, o)| o != dead);
+
+        // A steal aimed at the dead shard will never be answered. Leak the
+        // posted receive rather than cancel it: a response already in
+        // flight (in rendezvous) can still match and complete; nobody
+        // reads it.
+        if let Some((_, rx, _)) = s.outstanding_steal.take_if(|(v, ..)| *v == dead) {
+            std::mem::forget(rx);
+        }
+
+        // Tasks this shard lent to the dead thief and never got back.
+        let reclaimed: Vec<(usize, usize)> = s
+            .lent
+            .iter()
+            .filter(|&(_, &thief)| thief == dead)
+            .map(|(&t, _)| t)
+            .collect();
+        for t in reclaimed {
+            s.lent.remove(&t);
+            if !s.scored.contains(&t) {
+                self.st.tasks.push_back((t.0, t.1, me));
+                if self.params.strategy.workers_write() {
+                    s.reclaimed.insert(t);
+                }
+            }
+        }
+
+        // EVERY survivor records the new ownership, not just the
+        // successor: a later failover consults `owner_of` to find the
+        // batches the next dead master held, so a stale map at the next
+        // successor would orphan batches adopted in an earlier takeover
+        // (chained crashes are legal with >= 3 masters) and the run would
+        // never terminate.
+        let adopted: Vec<usize> = (0..s.owner_of.len())
+            .filter(|&b| s.owner_of[b] == dead)
+            .collect();
+        // The chaos knob reverts this fix (successor-only update) so s3a-mc
+        // can prove it rediscovers the chained-failover bug mechanically.
+        if !crate::chaos::stale_ownership_bug() || me == successor {
+            for &b in &adopted {
+                s.owner_of[b] = successor;
+            }
+        }
+        if me != successor {
+            return;
+        }
+
+        // Adopt the dead shard's batches. A batch the commit tracker knows
+        // (laid out, pending worker writes, or already durable) needs
+        // nothing: its offsets are on the wire and the surviving workers
+        // will complete it. A batch it has never seen died with its
+        // owner's score state — rebuild it from scratch and quarantine its
+        // tasks until every worker has purged its stale local merges.
+        let now = self.sim.now();
+        let mut purge: Vec<usize> = Vec::new();
+        let mut quarantined: Vec<(usize, usize, usize)> = Vec::new();
+        for b in adopted {
+            if self.commits.is_known(b) {
+                continue;
+            }
+            quarantined.extend(self.st.batch_tasks(b, me));
+            self.st.batches[b] = Some(self.st.new_batch(b));
+            self.st.batches_left += 1;
+            purge.push(b);
+        }
+        let takeover = FaultKind::ShardTakeover {
+            dead,
+            successor: me,
+            batches: purge.len(),
+        };
+        self.log
+            .as_ref()
+            .expect("crashes armed")
+            .record(now, takeover);
+        s.obs.add("shard.takeovers", 1);
+        s.obs.add("shard.batches_rebuilt", purge.len() as u64);
+
+        // Tell every worker (not just the dead shard's): any worker may
+        // hold stale merges for a rebuilt batch from before an earlier
+        // re-homing.
+        let notice = ShardCtrl::Rehome {
+            dead,
+            successor: me,
+            purge: purge.clone(),
+        };
+        let bytes = notice.wire_bytes();
+        for w in self.st.workers.clone() {
+            self.sends
+                .push(self.comm.isend(w, TAG_CTRL, notice.clone(), bytes));
+        }
+        if purge.is_empty() {
+            // Nothing was rebuilt, so no merge anywhere is stale; the
+            // re-home notice needs no acknowledgement barrier.
+            return;
+        }
+        s.takeover_start.insert(dead, now);
+        s.quarantine.insert(dead, quarantined);
+        s.ack_wait.insert(dead, self.st.workers.len());
+    }
+
+    /// A steal response arrived: extend the queue (owner = victim) or
+    /// bump the empty streak toward the pause threshold.
+    fn steal_intake(&mut self) {
+        let (now, me) = (self.sim.now(), self.me);
+        let Some(s) = &mut self.shards else { return };
+        let Some((victim, rx, t0)) = s.outstanding_steal.take_if(|(_, rx, _)| rx.ready()) else {
+            return;
+        };
+        let (resp, _) = rx.test().expect("ready").into_parts::<StealResp>();
+        if resp.tasks.is_empty() {
+            s.empty_streak += 1;
+            s.obs.add("shard.steals.empty", 1);
+            return;
+        }
+        s.empty_streak = 0;
+        let n = resp.tasks.len() as u64;
+        s.obs.add("shard.steals.tasks", n);
+        s.obs.span(
+            Track::Rank(me),
+            "shard.steal",
+            t0,
+            now,
+            &[("victim", victim as u64), ("tasks", n)],
+        );
+        self.st
+            .tasks
+            .extend(resp.tasks.iter().map(|&(q, sf)| (q, sf, resp.owner)));
+        let depth = self.st.tasks.len() as u64;
+        s.obs
+            .sample(Track::Rank(me), "shard.queue_depth", now, depth);
+    }
+
+    /// Steal requests from siblings: lend half of the own-owned queue, or
+    /// all of it when no worker is homed here (nothing once quiesced —
+    /// the shutdown guarantee).
+    fn lend(&mut self) {
+        let (comm, me) = (self.comm, self.me);
+        let Some(s) = &mut self.shards else { return };
+        while let Some(msg) = s.streq_rx.test() {
+            s.streq_rx = comm.irecv(Source::Any, TAG_STEAL_REQ);
+            let (req, _) = msg.into_parts::<StealReq>();
+            let tasks = if s.quiesced || s.all_done {
+                Vec::new()
+            } else {
+                let homeless = !self.st.workers.clone().any(|w| s.home_of[w] == me);
+                lend_half(&mut self.st.tasks, me, homeless)
+            };
+            for &t in &tasks {
+                s.lent.insert(t, req.thief);
+                s.reclaimed.remove(&t);
+            }
+            let resp = StealResp { tasks, owner: me };
+            let bytes = resp.wire_bytes();
+            self.sends
+                .push(comm.isend(req.thief, TAG_STEAL_RESP, resp, bytes));
+        }
+    }
+
+    /// Progress report: to the coordinator on every state change (and
+    /// once at start); the coordinator mirrors its own state locally.
+    async fn report_progress(&mut self) {
+        let Some(s) = &mut self.shards else { return };
+        let state = (self.st.batches_left == 0, s.outstanding_steal.is_some());
+        if s.all_done || s.last_report == Some(state) {
+            return;
+        }
+        s.last_report = Some(state);
+        if self.me == 0 {
+            s.remote[0] = Some(state);
+            return;
+        }
+        let report = ShardStatus::Report {
+            shard: self.me,
+            epoch: s.epoch,
+            resolved: state.0,
+            stealing: state.1,
+        };
+        tell(self.timer, self.comm, 0, report, Phase::DataDistribution).await;
+    }
+
+    /// Quiesce ack: no steal outstanding and none will start.
+    async fn ack_quiesce(&mut self) {
+        let Some(s) = &mut self.shards else { return };
+        if !s.quiesced || s.prepare_acked || s.outstanding_steal.is_some() || self.me == 0 {
+            return;
+        }
+        s.prepare_acked = true;
+        let ack = ShardStatus::PrepareAck {
+            shard: self.me,
+            epoch: s.epoch,
+        };
+        tell(self.timer, self.comm, 0, ack, Phase::DataDistribution).await;
+    }
+
+    /// Coordinator: drive the two-phase shutdown — `Prepare` once every
+    /// live shard reports resolved and not stealing, `AllDone` once every
+    /// live standby has acked and no steal of its own is outstanding.
+    async fn coordinate_shutdown(&mut self) {
+        let (comm, timer) = (self.comm, self.timer);
+        let Some(s) = &mut self.shards else { return };
+        if self.me != 0 || s.all_done {
+            return;
+        }
+        let m = s.alive.len();
+        let all_resolved =
+            (0..m).all(|x| !s.alive[x] || matches!(s.remote[x], Some((true, false))));
+        if !s.prepare_outstanding && all_resolved {
+            s.prepare_outstanding = true;
+            s.quiesced = true;
+            let prepare = ShardStatus::Prepare { epoch: s.epoch };
+            for x in (1..m).filter(|&x| s.alive[x]) {
+                tell(timer, comm, x, prepare, Phase::DataDistribution).await;
+            }
+        }
+        if s.prepare_outstanding
+            && s.outstanding_steal.is_none()
+            && (1..m).all(|x| !s.alive[x] || s.acked[x])
+        {
+            s.all_done = true;
+            for x in (1..m).filter(|&x| s.alive[x]) {
+                tell(
+                    timer,
+                    comm,
+                    x,
+                    ShardStatus::AllDone,
+                    Phase::DataDistribution,
+                )
+                .await;
+            }
+        }
+    }
+
+    /// Idle shard: try to steal before telling a worker to wait. One
+    /// request in flight at a time; pause once every alive sibling has
+    /// answered empty in a row.
+    async fn try_steal(&mut self) {
+        let (sim, comm, timer, me) = (self.sim, self.comm, self.timer, self.me);
+        let Some(s) = &mut self.shards else { return };
+        let m = s.alive.len();
+        let alive_siblings = (0..m).filter(|&x| s.alive[x] && x != me).count();
+        if s.quiesced
+            || s.outstanding_steal.is_some()
+            || alive_siblings == 0
+            || s.empty_streak >= alive_siblings
+        {
+            return;
+        }
+        for _ in 0..m {
+            if s.alive[s.next_victim] && s.next_victim != me {
+                break;
+            }
+            s.next_victim = (s.next_victim + 1) % m;
+        }
+        let victim = s.next_victim;
+        s.next_victim = (victim + 1) % m;
+        let resp_rx = comm.irecv(victim, TAG_STEAL_RESP);
+        s.obs.add("shard.steals.requested", 1);
+        timer
+            .track(
+                Phase::DataDistribution,
+                comm.send(victim, TAG_STEAL_REQ, StealReq { thief: me }, CTRL_BYTES),
+            )
+            .await;
+        s.outstanding_steal = Some((victim, resp_rx, sim.now()));
+    }
+}
+
+/// Send shard status `msg` to master `to`, booked as `phase`.
+async fn tell(timer: &PhaseTimer, comm: &Comm, to: usize, msg: ShardStatus, phase: Phase) {
+    timer
+        .track(phase, comm.send(to, TAG_STATUS, msg, CTRL_BYTES))
+        .await;
 }

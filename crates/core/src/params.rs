@@ -428,6 +428,29 @@ impl SimParams {
         SimParamsBuilder::default()
     }
 
+    /// The longest silence a live rank's heartbeats can show. Without
+    /// message delays it is the interval. A delayed message holds back
+    /// everything queued behind it on the receiver's link, so with delays
+    /// armed a heartbeat can land `msg_extra_delay` late — and a rank only
+    /// starts beating once the setup broadcast reaches it, one possibly
+    /// delayed hop per level of the binomial tree.
+    fn heartbeat_gap(&self) -> SimTime {
+        let f = &self.faults;
+        if f.msg_delay_per_mille == 0 {
+            return f.heartbeat_interval;
+        }
+        // Ranks `1..beating` heartbeat; rank `r` sits `popcount(r)` hops
+        // below the root, at most the bit length of `beating - 1`.
+        let beating = if f.master_crashes() {
+            self.num_masters
+        } else {
+            self.procs
+        };
+        let hops = u64::from(usize::BITS - beating.saturating_sub(1).leading_zeros());
+        let delays = f.msg_extra_delay.as_nanos().saturating_mul(hops + 1);
+        SimTime::from_nanos(f.heartbeat_interval.as_nanos().saturating_add(delays))
+    }
+
     /// Check the parameter combination, returning a typed error for every
     /// nonsense configuration (fewer than 2 procs, zero batch size, ...).
     pub fn try_validate(&self) -> Result<(), ParamError> {
@@ -516,9 +539,9 @@ impl SimParams {
                     });
                 }
             }
-            if self.faults.heartbeat_interval >= self.faults.detection_timeout {
+            if self.heartbeat_gap() >= self.faults.detection_timeout {
                 return Err(ParamError::HeartbeatNotUnderTimeout {
-                    interval: self.faults.heartbeat_interval,
+                    interval: self.heartbeat_gap(),
                     timeout: self.faults.detection_timeout,
                 });
             }
@@ -544,9 +567,9 @@ impl SimParams {
                     });
                 }
             }
-            if self.faults.heartbeat_interval >= self.faults.detection_timeout {
+            if self.heartbeat_gap() >= self.faults.detection_timeout {
                 return Err(ParamError::HeartbeatNotUnderTimeout {
-                    interval: self.faults.heartbeat_interval,
+                    interval: self.heartbeat_gap(),
                     timeout: self.faults.detection_timeout,
                 });
             }
@@ -645,10 +668,12 @@ pub enum ParamError {
         /// Total processes (valid worker ranks are `1..procs`).
         procs: usize,
     },
-    /// The heartbeat interval must undercut the detection timeout or the
-    /// detector can never distinguish silence from death.
+    /// The heartbeat interval — plus the extra delays a heartbeat can
+    /// meet when message delays are armed — must undercut the detection
+    /// timeout or the detector can never distinguish silence from death.
     HeartbeatNotUnderTimeout {
-        /// Configured heartbeat interval.
+        /// Configured heartbeat interval, plus the extra message delays a
+        /// heartbeat can meet when delays are armed.
         interval: SimTime,
         /// Configured detection timeout.
         timeout: SimTime,
@@ -789,8 +814,8 @@ impl std::fmt::Display for ParamError {
             }
             ParamError::HeartbeatNotUnderTimeout { interval, timeout } => write!(
                 f,
-                "heartbeat interval {interval} must undercut the detection \
-                 timeout {timeout}"
+                "heartbeat interval {interval} (plus any extra message delay) \
+                 must undercut the detection timeout {timeout}"
             ),
             ParamError::ZeroReplicas => write!(f, "replicas must be >= 1"),
             ParamError::InvalidWriteQuorum { quorum, replicas } => write!(
@@ -1325,6 +1350,26 @@ mod tests {
         faults.detection_timeout = faults.heartbeat_interval;
         let err = SimParams::builder().faults(faults).build().unwrap_err();
         assert!(matches!(err, ParamError::HeartbeatNotUnderTimeout { .. }));
+    }
+
+    #[test]
+    fn builder_rejects_message_delays_that_outlast_the_timeout() {
+        // A delayed message stalls the heartbeats queued behind it, so a
+        // live rank would read as dead.
+        let mut faults = one_crash();
+        faults.msg_delay_per_mille = 10;
+        faults.msg_extra_delay = faults.detection_timeout;
+        let err = SimParams::builder()
+            .faults(faults.clone())
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ParamError::HeartbeatNotUnderTimeout { .. }));
+        faults.msg_extra_delay = SimTime::from_millis(5);
+        SimParams::builder()
+            .procs(8)
+            .faults(faults)
+            .build()
+            .expect("a short delay leaves the detector sound");
     }
 
     #[test]

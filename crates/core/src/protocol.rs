@@ -55,13 +55,6 @@ pub const TASK_ENTRY_BYTES: u64 = 16;
 /// Master → worker response to a work request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Assign {
-    /// Search `query` against `fragment`.
-    Task {
-        /// Query index.
-        query: usize,
-        /// Database fragment index.
-        fragment: usize,
-    },
     /// No task is available right now, but the run is not over (tasks may
     /// be requeued if a peer dies, a client query may still arrive, or a
     /// steal may still refill the shard). Re-request after a short sleep.
@@ -92,17 +85,19 @@ pub enum Assign {
         /// Total offset messages addressed to this worker over the run.
         offsets: usize,
     },
-    /// Sharded mode: search `query` against sub-fragment `fragment` (a
-    /// `1/subfragment_factor` slice of a database fragment) and report to
-    /// `owner`. When `ship` is set the result data rides along with the
-    /// scores and the owning shard writes it (stolen tasks and all MW
-    /// tasks); otherwise the worker merges locally as usual.
+    /// Search `query` against sub-fragment `fragment` (a
+    /// `1/subfragment_factor` slice of a database fragment; the whole
+    /// fragment when the factor is 1) and report to `owner`. When `ship`
+    /// is set the result data rides along with the scores and the owning
+    /// master writes it (all MW tasks, and stolen tasks in sharded runs);
+    /// otherwise the worker merges locally as usual.
     ShardTask {
         /// Query index.
         query: usize,
         /// Sub-fragment index (`fragment * subfragment_factor + slice`).
         fragment: usize,
-        /// World rank of the shard that owns the query's batch.
+        /// World rank of the master that owns the query's batch (always 0
+        /// with one master).
         owner: usize,
         /// Ship result data to the owner instead of merging locally.
         ship: bool,

@@ -20,7 +20,6 @@ use crate::phase::PhaseBreakdown;
 use crate::report::{RunReport, ServiceReport};
 use crate::resume::{restart_point, CommitTracker, ResumePoint};
 use crate::service::ServiceTracker;
-use crate::shard::run_shard_master;
 use crate::trace::TraceSink;
 use crate::worker::{run_worker, WorkerStats};
 
@@ -254,61 +253,39 @@ fn execute(params: &SimParams) -> Result<RunReport, SimError> {
     let commits = CommitTracker::new();
     let service_tracker = params.is_service().then(ServiceTracker::new);
 
-    // Master(s). Each master's file handle lives on a single-rank
-    // communicator: MW writes (and shipped-result shard writes) are
-    // independent operations. Sharded runs spawn one shard master per
-    // shard; `num_masters == 1` runs the single master loop.
-    let master_joins: Vec<_> = if params.sharded() {
-        (0..params.num_masters)
-            .map(|s| {
-                let comm = world.comm(s);
-                let master_only = comm.sub(&[s], &format!("master-io-{s}"));
-                let file = File::open(&master_only, &fs, OUTPUT_FILE, hints);
-                let sim2 = sim.clone();
-                let p = Rc::clone(&params);
-                let w = Rc::clone(&workload);
-                let fx = faults_ctx.clone();
-                let obs = obs_sink.clone();
-                sim.spawn(
-                    format!("master{s}"),
-                    run_shard_master(
-                        sim2,
-                        comm,
-                        p,
-                        w,
-                        file,
-                        sink.clone(),
-                        commits.clone(),
-                        fx,
-                        obs,
-                    ),
-                )
-            })
-            .collect()
-    } else {
-        let comm = world.comm(0);
-        let master_only = comm.sub(&[0], "master-io");
-        let file = File::open(&master_only, &fs, OUTPUT_FILE, hints);
-        let sim2 = sim.clone();
-        let p = Rc::clone(&params);
-        let w = Rc::clone(&workload);
-        let fx = faults_ctx.clone();
-        let svc = service_tracker.clone();
-        vec![sim.spawn(
-            "master",
-            run_master(
-                sim2,
-                comm,
-                p,
-                w,
-                file,
-                sink.clone(),
-                commits.clone(),
-                fx,
-                svc,
-            ),
-        )]
-    };
+    // Masters (world ranks 0..num_masters), one loop for every shard
+    // count. Each master's file handle lives on a communicator holding
+    // only that master: MW writes (and shipped-result shard writes) are
+    // independent operations. Task and communicator names keep their
+    // single-master spelling at one master: the model checker hashes task
+    // names into its schedule signatures.
+    let master_joins: Vec<_> = (0..params.num_masters)
+        .map(|s| {
+            let (name, io) = if params.sharded() {
+                (format!("master{s}"), format!("master-io-{s}"))
+            } else {
+                ("master".to_string(), "master-io".to_string())
+            };
+            let comm = world.comm(s);
+            let master_only = comm.sub(&[s], &io);
+            let file = File::open(&master_only, &fs, OUTPUT_FILE, hints);
+            sim.spawn(
+                name,
+                run_master(
+                    sim.clone(),
+                    comm,
+                    Rc::clone(&params),
+                    Rc::clone(&workload),
+                    file,
+                    sink.clone(),
+                    commits.clone(),
+                    faults_ctx.clone(),
+                    service_tracker.clone(),
+                    obs_sink.clone(),
+                ),
+            )
+        })
+        .collect();
 
     // Workers (world ranks num_masters..procs), single-master and sharded
     // alike. Their file handle lives on the workers' communicator so

@@ -9,10 +9,11 @@
 //! lists; the collective strategy must stop and synchronize, which is
 //! exactly the cost the paper sets out to measure.
 //!
-//! The same loop serves single-master and sharded runs. A sharded worker
-//! is homed to shard `(rank − m) % m` (always 0 with one master), speaks
-//! sub-fragment tasks that name the owning shard, and — when master
-//! crashes are armed — follows `Rehome` notices to a successor shard.
+//! The same loop serves single-master and sharded runs. A worker is homed
+//! to master `(rank − m) % m` (always 0 with one master); every task
+//! names the master that owns it and whether its result data ships
+//! there. When master crashes are armed the worker follows `Rehome`
+//! notices to a successor shard.
 //!
 //! With worker crashes armed a worker additionally runs a heartbeat
 //! sibling task, answers `Wait`/`Repair` assignments (idle back-off and
@@ -30,13 +31,14 @@ use s3a_mpiio::File;
 use s3a_pvfs::{FileHandle, Region};
 use s3a_workload::{Hit, Workload};
 
+use crate::failure_detector::spawn_heartbeat;
 use crate::master::Wake;
 use crate::params::{Segmentation, SimParams, Strategy};
 use crate::phase::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::protocol::{
-    merge_sorted_hits, Assign, OffsetsMsg, ScoresMsg, ShardCtrl, CTRL_BYTES, HEARTBEAT_BYTES,
-    SCORE_ENTRY_BYTES, TAG_ASSIGN, TAG_CTRL, TAG_CTRL_ACK, TAG_HEARTBEAT, TAG_OFFSETS, TAG_SCORES,
-    TAG_WORK_REQ, WORK_REQ_BYTES,
+    merge_sorted_hits, Assign, OffsetsMsg, ScoresMsg, ShardCtrl, CTRL_BYTES, SCORE_ENTRY_BYTES,
+    TAG_ASSIGN, TAG_CTRL, TAG_CTRL_ACK, TAG_HEARTBEAT, TAG_OFFSETS, TAG_SCORES, TAG_WORK_REQ,
+    WORK_REQ_BYTES,
 };
 use crate::resume::CommitTracker;
 use crate::runner::FaultCtx;
@@ -114,7 +116,6 @@ pub async fn run_worker(
     };
     let mut offs_rx = comm.irecv(offs_src, TAG_OFFSETS);
     let mut result_sends: VecDeque<SendRequest> = VecDeque::new();
-    let is_mw = params.strategy == Strategy::Mw;
 
     let fp = faults.as_ref().map(|f| f.schedule.params());
     let worker_crashes = fp.is_some_and(|p| p.crashes());
@@ -137,15 +138,8 @@ pub async fn run_worker(
     // this worker finishes — or crashes.
     let hb_stop = Flag::new(&sim);
     if worker_crashes {
-        let hb_comm = comm.clone();
-        let stop = hb_stop.clone();
-        let hb_sim = sim.clone();
-        sim.spawn(format!("heartbeat-{me}"), async move {
-            while !stop.is_set() {
-                let _ = hb_comm.isend(0, TAG_HEARTBEAT, (), HEARTBEAT_BYTES);
-                hb_sim.sleep(tick).await;
-            }
-        });
+        let name = format!("heartbeat-{me}");
+        spawn_heartbeat(&sim, &comm, name, TAG_HEARTBEAT, tick, hb_stop.clone());
     }
     let mut ctrl_rx = master_crashes.then(|| comm.irecv(Source::Any, TAG_CTRL));
     let mut ctrl_sends: Vec<SendRequest> = Vec::new();
@@ -281,10 +275,7 @@ pub async fn run_worker(
                 .downcast::<Assign>()
         };
 
-        // A single-master task is a sharded task owned by the master for
-        // the whole fragment (k = 1); its data ships only under MW.
         let task = match resp {
-            Assign::Task { query, fragment } => Some((query, fragment, 0, is_mw)),
             Assign::ShardTask {
                 query,
                 fragment,

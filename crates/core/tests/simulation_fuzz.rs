@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 
+use s3a_des::SimTime;
 use s3a_workload::WorkloadParams;
-use s3asim::{run, Segmentation, SimParams, PHASES};
+use s3asim::{run, try_run, FaultParams, ParamError, Segmentation, SimError, SimParams, PHASES};
 
 fn strategy_strategy() -> impl Strategy<Value = s3asim::Strategy> {
     prop::sample::select(vec![
@@ -104,5 +105,98 @@ proptest! {
         prop_assert_eq!(r.overall, r2.overall);
         prop_assert_eq!(r.workers, r2.workers);
         prop_assert_eq!(r.fs, r2.fs);
+    }
+}
+
+fn sharded_strategy() -> impl Strategy<Value = s3asim::Strategy> {
+    prop::sample::select(vec![
+        s3asim::Strategy::Mw,
+        s3asim::Strategy::WwPosix,
+        s3asim::Strategy::WwList,
+        s3asim::Strategy::WwSieve,
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The sharded-master feature matrix: shard count, sub-fragment
+    /// factor, strategy, nonblocking MW writes, a master crash and message
+    /// delays on either side of the detection timeout. Every combination
+    /// is either refused with a typed `ParamError` (a crash armed with
+    /// delays that can stall heartbeats past the timeout) or verifies with
+    /// an exactly-once commit ledger and replays byte-identically.
+    #[test]
+    fn sharded_feature_matrix_verifies_or_is_refused(
+        masters in 2usize..4,
+        workers in 1usize..7,
+        k in 1usize..4,
+        strategy in sharded_strategy(),
+        nonblocking in any::<bool>(),
+        crash in any::<bool>(),
+        standby in 1usize..3,
+        crash_ms in 20u64..1500,
+        delay_per_mille in prop::sample::select(vec![0u16, 20, 100]),
+        extra_delay_ms in 20u64..900,
+        queries in 2usize..9,
+        gran in 1usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let params = SimParams {
+            procs: masters + workers,
+            num_masters: masters,
+            subfragment_factor: k,
+            strategy,
+            mw_nonblocking_io: nonblocking,
+            write_every_n_queries: gran,
+            faults: FaultParams {
+                master_crashes: if crash {
+                    vec![(1 + standby % (masters - 1), SimTime::from_millis(crash_ms))]
+                } else {
+                    Vec::new()
+                },
+                heartbeat_interval: SimTime::from_millis(50),
+                detection_timeout: SimTime::from_millis(400),
+                msg_delay_per_mille: delay_per_mille,
+                msg_extra_delay: SimTime::from_millis(extra_delay_ms),
+                seed,
+                ..FaultParams::default()
+            },
+            workload: WorkloadParams {
+                queries,
+                fragments: 6,
+                min_results: 5,
+                max_results: 40,
+                seed,
+                ..WorkloadParams::default()
+            },
+            ..SimParams::default()
+        };
+        let r = match try_run(&params) {
+            Err(SimError::InvalidParams(e)) => {
+                // Refused: message delays that can hold a live standby's
+                // heartbeats back past the detection timeout.
+                let outlast = matches!(e, ParamError::HeartbeatNotUnderTimeout { .. });
+                prop_assert!(crash && delay_per_mille > 0 && outlast, "refused: {e}");
+                return Ok(());
+            }
+            Err(e) => {
+                prop_assert!(false, "{params:?}: {e}");
+                unreachable!()
+            }
+            Ok(r) => r,
+        };
+
+        // Exactly-once ledger: every batch committed, none twice.
+        let mut batches: Vec<usize> = r.commits.entries().iter().map(|e| e.batch).collect();
+        batches.sort_unstable();
+        let n = batches.len();
+        batches.dedup();
+        prop_assert_eq!(batches.len(), n, "a batch committed twice");
+        prop_assert_eq!(batches, (0..queries.div_ceil(gran)).collect::<Vec<_>>());
+
+        // Determinism: the rerun's report is identical, byte for byte.
+        let r2 = try_run(&params).expect("the rerun verifies too");
+        prop_assert_eq!(format!("{r:?}"), format!("{r2:?}"));
     }
 }

@@ -338,6 +338,56 @@ fn mw_nonblocking_io_is_exact_and_not_slower() {
         nonblocking.master.get(Phase::Io),
         blocking.master.get(Phase::Io)
     );
+
+    // Sharded masters honour the option too: each shard writes its
+    // batches in the background (the report's master phases are the
+    // across-shard mean).
+    let sharded = |masters: usize| SimParams {
+        procs: 10,
+        num_masters: masters,
+        strategy: Strategy::Mw,
+        write_every_n_queries: 2,
+        workload: WorkloadParams {
+            queries: 8,
+            fragments: 8,
+            min_results: 30,
+            max_results: 80,
+            ..WorkloadParams::default()
+        },
+        ..SimParams::default()
+    };
+    let blocking = run(&sharded(2));
+    let mut p = sharded(2);
+    p.mw_nonblocking_io = true;
+    let nonblocking = run(&p);
+    nonblocking.verify().expect("exact sharded output");
+    assert!(
+        nonblocking.master.get(Phase::Io) < blocking.master.get(Phase::Io),
+        "sharded masters must not block on their writes ({} vs {})",
+        nonblocking.master.get(Phase::Io),
+        blocking.master.get(Phase::Io)
+    );
+
+    // A standby that fail-stops first joins its background write (at
+    // 900 ms rank 1 has one in flight), so the dead shard owes no extent
+    // and the successor's adoption stays exact.
+    let mut p = sharded(3);
+    p.mw_nonblocking_io = true;
+    p.faults = FaultParams {
+        master_crashes: vec![(1, SimTime::from_millis(900))],
+        heartbeat_interval: SimTime::from_millis(50),
+        detection_timeout: SimTime::from_millis(400),
+        ..FaultParams::default()
+    };
+    let r = run(&p);
+    r.verify().expect("exact output despite the master crash");
+    assert_eq!(r.faults.as_ref().expect("fault report").shard_takeovers, 1);
+    let entries = r.commits.entries();
+    let mut batches: Vec<usize> = entries.iter().map(|e| e.batch).collect();
+    batches.sort_unstable();
+    batches.dedup();
+    assert_eq!(batches.len(), entries.len(), "no batch committed twice");
+    assert_eq!(batches, (0..4).collect::<Vec<_>>(), "every batch durable");
 }
 
 #[test]
