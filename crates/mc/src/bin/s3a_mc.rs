@@ -10,11 +10,15 @@
 //!
 //! `explore` exits 1 when a violation was found (the minimized
 //! counterexample is printed, and written to `--out` when given);
-//! `replay` exits 0 when the recorded violation reproduces.
+//! `replay` exits 0 when the recorded violation reproduces and 1 when it
+//! does not. Both exit 2 on a usage error, and `replay` also exits 2 for
+//! an unreadable or invalid file (bad JSON, a missing field, a number
+//! that is not an unsigned integer, or a scenario the simulator refuses).
 
 use std::process::ExitCode;
 
-use s3a_mc::{explore, parse_json, Counterexample, McConfig, Scenario};
+use s3a_mc::{explore, Counterexample, McConfig, Scenario};
+use s3a_obs::json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -120,7 +124,8 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cx = match parse_json(&text).and_then(|j| Counterexample::from_json(&j)) {
+    let parsed = json::parse(&text).map_err(|e| e.to_string());
+    let cx = match parsed.and_then(|j| Counterexample::from_json(&j)) {
         Ok(cx) => cx,
         Err(e) => {
             eprintln!("s3a-mc: {path}: {e}");

@@ -21,12 +21,12 @@ use std::rc::Rc;
 
 use s3a_des::policy::{with_policy, PolicyHandle};
 use s3a_des::SimTime;
+use s3a_obs::json::Value;
 use s3asim::{try_run, RunReport, SimError};
 
 use crate::choice::{Choice, ChoicePolicy};
-use crate::json::Json;
 use crate::oracle::{self, Baseline};
-use crate::scenario::Scenario;
+use crate::scenario::{pairs_from_json, pairs_to_json, Scenario};
 use std::cell::RefCell;
 
 /// Exploration bounds.
@@ -352,74 +352,66 @@ fn minimize(
 
 impl Counterexample {
     /// Serialize as the self-contained counterexample file format.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::Num(1)),
+    pub fn to_json(&self) -> Value {
+        Value::Obj(vec![
+            ("version".into(), Value::Int(1)),
             ("scenario".into(), self.scenario.to_json()),
-            ("crash_variant".into(), Json::Num(self.crash_variant as u64)),
+            (
+                "crash_variant".into(),
+                Value::Int(self.crash_variant as u64),
+            ),
             (
                 "crashes".into(),
-                Json::Arr(
-                    self.crashes
-                        .iter()
-                        .map(|&(r, ns)| Json::Arr(vec![Json::Num(r as u64), Json::Num(ns)]))
-                        .collect(),
-                ),
+                pairs_to_json(self.crashes.iter().map(|&(r, ns)| (r as u64, ns))),
             ),
             (
                 "choices".into(),
-                Json::Arr(
-                    self.choices
-                        .iter()
-                        .map(|&(idx, c)| Json::Arr(vec![Json::Num(idx), Json::Num(u64::from(c))]))
-                        .collect(),
-                ),
+                pairs_to_json(self.choices.iter().map(|&(idx, c)| (idx, u64::from(c)))),
             ),
-            ("violation".into(), Json::Str(self.violation.clone())),
+            ("violation".into(), Value::Str(self.violation.clone())),
         ])
     }
 
-    /// Parse a counterexample file.
-    pub fn from_json(j: &Json) -> Result<Counterexample, String> {
-        match j.get("version").and_then(Json::as_u64) {
+    /// Parse a counterexample file. Refuses a number that is not a `u64`,
+    /// a choice beyond `u32`, and a scenario that
+    /// `SimParams::try_validate` refuses.
+    pub fn from_json(j: &Value) -> Result<Counterexample, String> {
+        match j.get("version").and_then(Value::as_u64) {
             Some(1) => {}
             v => return Err(format!("unsupported counterexample version {v:?}")),
         }
-        let scenario = Scenario::from_json(j.get("scenario").ok_or("missing 'scenario'")?)?;
-        let pairs = |key: &str| -> Result<Vec<(u64, u64)>, String> {
-            j.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing '{key}'"))?
-                .iter()
-                .map(|p| match p.as_arr() {
-                    Some([a, b]) => Ok((
-                        a.as_u64().ok_or("bad pair element")?,
-                        b.as_u64().ok_or("bad pair element")?,
-                    )),
-                    _ => Err(format!("'{key}' entry is not a pair")),
-                })
-                .collect()
-        };
-        Ok(Counterexample {
-            scenario,
+        let choices = pairs_from_json(j, "choices")?
+            .into_iter()
+            .map(|(idx, c)| {
+                u32::try_from(c)
+                    .map(|c| (idx, c))
+                    .map_err(|_| format!("choice {c} at decision {idx} does not fit in u32"))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let cx = Counterexample {
+            scenario: Scenario::from_json(j.get("scenario").ok_or("missing 'scenario'")?)?,
             crash_variant: j
                 .get("crash_variant")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("missing 'crash_variant'")? as usize,
-            crashes: pairs("crashes")?
+            crashes: pairs_from_json(j, "crashes")?
                 .into_iter()
                 .map(|(r, ns)| (r as usize, ns))
                 .collect(),
-            choices: pairs("choices")?
-                .into_iter()
-                .map(|(idx, c)| (idx, c as u32))
-                .collect(),
+            choices,
             violation: j
                 .get("violation")
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .ok_or("missing 'violation'")?
                 .to_string(),
-        })
+        };
+        // The oracles report a refused configuration as a violation, so
+        // replaying one would "reproduce" whatever the file recorded.
+        cx.scenario
+            .params(&cx.fault_params())
+            .try_validate()
+            .map_err(|e| format!("invalid scenario: {e}"))?;
+        Ok(cx)
     }
 
     /// The fault parameters this counterexample ran under (its resolved

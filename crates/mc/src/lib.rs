@@ -20,7 +20,6 @@
 
 pub mod choice;
 pub mod explore;
-pub mod json;
 pub mod oracle;
 pub mod scenario;
 
@@ -28,6 +27,5 @@ pub use choice::{Choice, ChoicePolicy, TRACE_CAP};
 pub use explore::{
     explore, run_schedule, Counterexample, ExploreReport, McConfig, RunError, RunOutcome,
 };
-pub use json::{parse as parse_json, Json};
 pub use oracle::{check as check_oracles, commit_projection, Baseline};
 pub use scenario::{strategy_from_label, Scenario};

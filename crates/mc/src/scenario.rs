@@ -9,7 +9,7 @@ use s3a_des::SimTime;
 use s3a_workload::WorkloadParams;
 use s3asim::{FaultParams, SimParams, Strategy};
 
-use crate::json::Json;
+use s3a_obs::json::Value;
 
 /// One model-checking scenario. Times are nanoseconds (the DES unit).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,75 +136,57 @@ impl Scenario {
     }
 
     /// Serialize for embedding in a counterexample file.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("strategy".into(), Json::Str(self.strategy.label().into())),
-            ("masters".into(), Json::Num(self.masters as u64)),
-            ("procs".into(), Json::Num(self.procs as u64)),
-            ("queries".into(), Json::Num(self.queries as u64)),
-            ("fragments".into(), Json::Num(self.fragments as u64)),
+    pub fn to_json(&self) -> Value {
+        Value::Obj(vec![
+            ("strategy".into(), Value::Str(self.strategy.label().into())),
+            ("masters".into(), Value::Int(self.masters as u64)),
+            ("procs".into(), Value::Int(self.procs as u64)),
+            ("queries".into(), Value::Int(self.queries as u64)),
+            ("fragments".into(), Value::Int(self.fragments as u64)),
             (
                 "subfragment_factor".into(),
-                Json::Num(self.subfragment_factor as u64),
+                Value::Int(self.subfragment_factor as u64),
             ),
-            ("write_every".into(), Json::Num(self.write_every as u64)),
-            ("min_results".into(), Json::Num(self.min_results)),
-            ("max_results".into(), Json::Num(self.max_results)),
-            ("seed".into(), Json::Num(self.seed)),
-            ("sanitize".into(), Json::Bool(self.sanitize)),
+            ("write_every".into(), Value::Int(self.write_every as u64)),
+            ("min_results".into(), Value::Int(self.min_results)),
+            ("max_results".into(), Value::Int(self.max_results)),
+            ("seed".into(), Value::Int(self.seed)),
+            ("sanitize".into(), Value::Bool(self.sanitize)),
             (
                 "crashes".into(),
-                Json::Arr(
-                    self.crashes
-                        .iter()
-                        .map(|&(r, ns)| Json::Arr(vec![Json::Num(r as u64), Json::Num(ns)]))
-                        .collect(),
-                ),
+                pairs_to_json(self.crashes.iter().map(|&(r, ns)| (r as u64, ns))),
             ),
-            ("heartbeat_ns".into(), Json::Num(self.heartbeat_ns)),
-            ("detection_ns".into(), Json::Num(self.detection_ns)),
+            ("heartbeat_ns".into(), Value::Int(self.heartbeat_ns)),
+            ("detection_ns".into(), Value::Int(self.detection_ns)),
             (
                 "chaos_stale_ownership".into(),
-                Json::Bool(self.chaos_stale_ownership),
+                Value::Bool(self.chaos_stale_ownership),
             ),
         ])
     }
 
     /// Reconstruct from the embedded form. Every field is required — a
     /// counterexample that omits one would replay a different system.
-    pub fn from_json(j: &Json) -> Result<Scenario, String> {
-        fn num(j: &Json, key: &str) -> Result<u64, String> {
+    /// Every number is a count, index or nanosecond time, so any number
+    /// that is not an unsigned integer ([`Value::Int`]) is refused rather
+    /// than rounded.
+    pub fn from_json(j: &Value) -> Result<Scenario, String> {
+        fn num(j: &Value, key: &str) -> Result<u64, String> {
             j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("scenario field '{key}' missing or not a number"))
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("scenario field '{key}' missing or not a u64"))
         }
-        fn flag(j: &Json, key: &str) -> Result<bool, String> {
+        fn flag(j: &Value, key: &str) -> Result<bool, String> {
             j.get(key)
-                .and_then(Json::as_bool)
+                .and_then(Value::as_bool)
                 .ok_or_else(|| format!("scenario field '{key}' missing or not a bool"))
         }
         let strategy_label = j
             .get("strategy")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or("scenario field 'strategy' missing or not a string")?;
         let strategy = strategy_from_label(strategy_label)
             .ok_or_else(|| format!("unknown strategy '{strategy_label}'"))?;
-        let crashes = j
-            .get("crashes")
-            .and_then(Json::as_arr)
-            .ok_or("scenario field 'crashes' missing or not an array")?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr().filter(|p| p.len() == 2);
-                match pair {
-                    Some([r, ns]) => Ok((
-                        r.as_u64().ok_or("bad crash rank")? as usize,
-                        ns.as_u64().ok_or("bad crash time")?,
-                    )),
-                    _ => Err("crash entry is not a [rank, ns] pair".to_string()),
-                }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(Scenario {
             strategy,
             masters: num(j, "masters")? as usize,
@@ -217,12 +199,36 @@ impl Scenario {
             max_results: num(j, "max_results")?,
             seed: num(j, "seed")?,
             sanitize: flag(j, "sanitize")?,
-            crashes,
+            crashes: pairs_from_json(j, "crashes")?
+                .into_iter()
+                .map(|(r, ns)| (r as usize, ns))
+                .collect(),
             heartbeat_ns: num(j, "heartbeat_ns")?,
             detection_ns: num(j, "detection_ns")?,
             chaos_stale_ownership: flag(j, "chaos_stale_ownership")?,
         })
     }
+}
+
+/// A pair list as `[[a, b], ...]`, the form of every pair list in a
+/// counterexample file.
+pub(crate) fn pairs_to_json(pairs: impl IntoIterator<Item = (u64, u64)>) -> Value {
+    let pair = |(a, b)| Value::Arr(vec![Value::Int(a), Value::Int(b)]);
+    Value::Arr(pairs.into_iter().map(pair).collect())
+}
+
+/// The pair list at `key`; both elements of each pair must be `u64`s.
+pub(crate) fn pairs_from_json(j: &Value, key: &str) -> Result<Vec<(u64, u64)>, String> {
+    j.get(key)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("field '{key}' missing or not an array"))?
+        .iter()
+        .map(|p| match p.as_arr() {
+            Some([a, b]) => a.as_u64().zip(b.as_u64()),
+            _ => None,
+        })
+        .map(|p| p.ok_or_else(|| format!("'{key}' entry is not a pair of u64s")))
+        .collect()
 }
 
 /// Inverse of [`Strategy::label`] for the strategies the checker drives.
@@ -241,6 +247,7 @@ pub fn strategy_from_label(label: &str) -> Option<Strategy> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s3a_obs::json;
 
     #[test]
     fn scenario_round_trips_through_json() {
@@ -252,12 +259,30 @@ mod tests {
                 s.chaos_stale_ownership = true;
                 s
             },
+            // Neither value survives a trip through f64.
+            {
+                let mut s = Scenario::failover(Strategy::Mw, 2, 8);
+                s.seed = u64::MAX;
+                s.crashes = vec![(1, u64::MAX - 1)];
+                s
+            },
         ] {
             let text = s.to_json().pretty();
-            assert_eq!(
-                Scenario::from_json(&crate::json::parse(&text).unwrap()),
-                Ok(s)
-            );
+            assert_eq!(Scenario::from_json(&json::parse(&text).unwrap()), Ok(s));
+        }
+    }
+
+    #[test]
+    fn scenario_refuses_numbers_that_are_not_unsigned_integers() {
+        let s = Scenario::failover(Strategy::Mw, 2, 8);
+        let text = s.to_json().pretty();
+        assert!(Scenario::from_json(&json::parse(&text).unwrap()).is_ok());
+        let field = format!("\"seed\": {},", s.seed);
+        for bad in ["1.5", "-1", "1e3", "18446744073709551616"] {
+            let edited = text.replace(&field, &format!("\"seed\": {bad},"));
+            assert_ne!(edited, text, "the edit must hit the seed field");
+            let err = Scenario::from_json(&json::parse(&edited).unwrap()).unwrap_err();
+            assert!(err.contains("'seed'"), "{bad}: {err}");
         }
     }
 

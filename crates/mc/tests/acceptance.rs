@@ -6,9 +6,10 @@
 //!   re-introduced (the `s3asim::chaos` knob), the checker catches it and
 //!   produces a minimized counterexample that replays deterministically.
 
-use s3a_mc::{
-    check_oracles, explore, parse_json, run_schedule, Counterexample, McConfig, Scenario,
-};
+use std::process::Command;
+
+use s3a_mc::{check_oracles, explore, run_schedule, Counterexample, McConfig, Scenario};
+use s3a_obs::json;
 use s3asim::Strategy;
 
 #[test]
@@ -78,7 +79,7 @@ fn reintroduced_stale_ownership_bug_is_caught_minimized_and_replayed() {
 
     // The counterexample file is self-contained: round-trip and replay.
     let text = cx.to_json().pretty();
-    let parsed = Counterexample::from_json(&parse_json(&text).expect("valid JSON"))
+    let parsed = Counterexample::from_json(&json::parse(&text).expect("valid JSON"))
         .expect("counterexample parses back");
     assert_eq!(parsed.scenario, cx.scenario);
     assert_eq!(parsed.choices, cx.choices);
@@ -93,4 +94,51 @@ fn same_scenario_without_chaos_passes_every_oracle() {
     assert!(!scenario.chaos_stale_ownership);
     let run = run_schedule(&scenario, &scenario.fault_params(), &[], 2_000_000);
     check_oracles(&scenario, &run, None).expect("fixed protocol survives chained failover");
+}
+
+/// A counterexample file that parses but must not replay: its scenario is
+/// one the simulator refuses, or a choice does not fit the `u32` the
+/// schedule uses. `from_json` refuses each, and `s3a-mc replay` exits 2
+/// instead of reporting a reproduced violation or replaying a different
+/// schedule.
+#[test]
+fn replay_refuses_invalid_scenarios_and_oversized_choices() {
+    let cx = Counterexample {
+        scenario: Scenario::failover(Strategy::Mw, 2, 8),
+        crash_variant: 0,
+        crashes: vec![(1, 40_000_000)],
+        choices: vec![],
+        violation: "recorded".to_string(),
+    };
+    let text = cx.to_json().pretty();
+    assert!(Counterexample::from_json(&json::parse(&text).unwrap()).is_ok());
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, from, to) in [
+        ("zero_masters", "\"masters\": 2,", "\"masters\": 0,"),
+        (
+            "oversized_choice",
+            "\"choices\": [],",
+            "\"choices\": [[0, 4294967296]],",
+        ),
+    ] {
+        let edited = text.replace(from, to);
+        assert_ne!(edited, text, "{name}: the edit must hit the file");
+        let err = Counterexample::from_json(&json::parse(&edited).unwrap())
+            .expect_err("the counterexample must be refused");
+        eprintln!("{name}: {err}");
+
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, &edited).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_s3a-mc"))
+            .arg("replay")
+            .arg(&path)
+            .output()
+            .expect("s3a-mc runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{name}: stdout {:?}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }

@@ -1,9 +1,13 @@
-//! A minimal JSON parser — just enough to round-trip-check exported
-//! Chrome traces and to read the benchmark result files, with no external
-//! dependency (the build environment is offline).
+//! The workspace's one JSON codec: a dependency-free parser plus a pretty
+//! tree emitter. It reads the exported Chrome traces, the benchmark result
+//! files and the s3a-mc counterexample files, and writes the latter.
+//!
+//! Integers stay exact: a number literal made only of digits that fits in
+//! `u64` parses to [`Value::Int`], any other number to [`Value::Num`].
+//! Objects keep document order, so an emitted file reads (and diffs) in
+//! the order it was built.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,21 +16,24 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number, held as `f64`.
+    /// A number literal made only of digits that fits in `u64`.
+    Int(u64),
+    /// Any other number (signed, fractional, exponent, or too large).
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object. Keys are unique; later duplicates win.
-    Obj(BTreeMap<String, Value>),
+    /// An object, fields in document order.
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
-    /// The value at an object key, if this is an object containing it.
+    /// The value at an object key (the first match), if this is an object
+    /// containing it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -47,11 +54,88 @@ impl Value {
         }
     }
 
-    /// The number, if this is a number.
+    /// The number as `f64`, if this is a number of either form.
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
+        }
+    }
+
+    /// The number, if this is an exact unsigned integer ([`Value::Int`]).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The flag, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Serialize with two-space indentation, `": "` after keys, `[]` and
+    /// `{}` for empty containers, and a trailing newline. A non-finite
+    /// [`Value::Num`] has no JSON form and is written as `null`.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        let pad = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        };
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            // `{:?}` is the shortest text that reads back to the same f64,
+            // and always carries a '.' or an exponent, so it stays a `Num`.
+            Value::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n:?}");
+            }
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => {
+                let _ = write!(out, "\"{}\"", escape(s));
+            }
+            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    pad(out, indent + 1);
+                    item.write(out, indent + 1);
+                }
+                pad(out, indent);
+                out.push(']');
+            }
+            Value::Obj(fields) if fields.is_empty() => out.push_str("{}"),
+            Value::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    pad(out, indent + 1);
+                    let _ = write!(out, "\"{}\": ", escape(k));
+                    v.write(out, indent + 1);
+                }
+                pad(out, indent);
+                out.push('}');
+            }
         }
     }
 }
@@ -143,7 +227,7 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+        let mut m = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -156,7 +240,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            m.insert(key, v);
+            m.push((key, v));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -269,6 +353,9 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.b[start..self.pos]).expect("ascii");
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
@@ -301,9 +388,85 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
         assert_eq!(parse("false").unwrap(), Value::Bool(false));
-        assert_eq!(parse("42").unwrap(), Value::Num(42.0));
+        assert_eq!(parse("42").unwrap(), Value::Int(42));
         assert_eq!(parse("-1.5e3").unwrap(), Value::Num(-1500.0));
         assert_eq!(parse("\"hi\"").unwrap(), Value::Str("hi".into()));
+        // Digits-only integers stay exact; u64::MAX does not survive f64.
+        let max = parse("18446744073709551615").unwrap();
+        assert_eq!(max, Value::Int(u64::MAX));
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        assert_eq!(max.as_num(), Some(u64::MAX as f64));
+        // Any other number is an f64, which `as_u64` does not answer for.
+        for (text, n) in [
+            ("-1", -1.0),
+            ("2.0", 2.0),
+            ("1e3", 1e3),
+            ("18446744073709551616", 2f64.powi(64)),
+        ] {
+            let v = parse(text).unwrap();
+            assert_eq!(v, Value::Num(n), "{text}");
+            assert_eq!((v.as_u64(), v.as_num()), (None, Some(n)), "{text}");
+        }
+    }
+
+    #[test]
+    fn round_trips_the_counterexample_shapes() {
+        let doc = Value::Obj(vec![
+            ("version".to_string(), Value::Int(1)),
+            (
+                "violation".to_string(),
+                Value::Str("a \"quoted\"\nline".to_string()),
+            ),
+            (
+                "choices".to_string(),
+                Value::Arr(vec![
+                    Value::Arr(vec![Value::Int(17), Value::Int(2)]),
+                    Value::Arr(vec![Value::Int(423), Value::Int(u64::MAX)]),
+                ]),
+            ),
+            ("empty".to_string(), Value::Arr(vec![])),
+            ("chaos".to_string(), Value::Bool(true)),
+            ("none".to_string(), Value::Null),
+            ("nested".to_string(), Value::Obj(vec![])),
+            ("ratio".to_string(), Value::Num(-0.25)),
+        ]);
+        // `Obj` equality compares fields in order, so this also checks
+        // that key order (deliberately unsorted here) survives.
+        assert_eq!(parse(&doc.pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_layout_is_pinned() {
+        let doc = Value::Obj(vec![
+            (
+                "a".to_string(),
+                Value::Arr(vec![Value::Int(1), Value::Null]),
+            ),
+            ("b".to_string(), Value::Arr(vec![])),
+            ("c".to_string(), Value::Obj(vec![])),
+            (
+                "d".to_string(),
+                Value::Obj(vec![("e\t".to_string(), Value::Bool(false))]),
+            ),
+            ("f".to_string(), Value::Num(1e20)),
+            ("g".to_string(), Value::Num(f64::NAN)),
+        ]);
+        let expected = r#"{
+  "a": [
+    1,
+    null
+  ],
+  "b": [],
+  "c": {},
+  "d": {
+    "e\t": false
+  },
+  "f": 1e20,
+  "g": null
+}
+"#;
+        assert_eq!(doc.pretty(), expected);
+        assert_eq!(Value::Str("x".into()).pretty(), "\"x\"\n");
     }
 
     #[test]
@@ -314,6 +477,15 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a[1].get("b").and_then(Value::as_str), Some("x"));
         assert_eq!(a[2], Value::Null);
+
+        // Objects keep document order; `get` answers with the first match.
+        let v = parse(r#"{"b": 1, "a": 2, "b": 3}"#).unwrap();
+        assert_eq!(v.get("b"), Some(&Value::Int(1)));
+        let Value::Obj(fields) = &v else {
+            panic!("not an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["b", "a", "b"]);
     }
 
     #[test]
@@ -329,6 +501,10 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+        assert!(parse("[1, 2,]").is_err());
+        assert!(parse("{\"a\": 1} x").is_err());
+        assert!(parse("\"unterminated").is_err());
+        assert!(parse("-").is_err());
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! [`ObsReport`] (no `Rc`, `Send`) that travels inside `RunReport`
 //! through the parallel sweep pool. Exporters live in [`chrome`] (Chrome
 //! `trace_event` JSON for `chrome://tracing` / Perfetto) and the report's
-//! CSV helpers; [`json`] is a minimal parser used to round-trip-check
-//! exported traces.
+//! CSV helpers; [`json`] is the workspace's one JSON codec (bench gate,
+//! trace tests, s3a-mc counterexamples).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
