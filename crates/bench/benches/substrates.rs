@@ -31,7 +31,7 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("timer_wheel_10k_events", |b| {
+    g.bench_function("event_queue_10k_events", |b| {
         b.iter(|| {
             let sim = Sim::new();
             for i in 0..100u64 {

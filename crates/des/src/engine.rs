@@ -3,8 +3,8 @@
 //!
 //! Simulated processes are ordinary Rust futures. A process "blocks" by
 //! returning [`Poll::Pending`] from a leaf future that has registered a
-//! wake-up — either a timed event on the engine's timing wheel (e.g.
-//! [`Sim::sleep`], see [`crate::wheel`]) or an entry in a synchronization
+//! wake-up — either a timed event (e.g. [`Sim::sleep`]) in the engine's
+//! event queue, a binary heap, or an entry in a synchronization
 //! primitive's waiter list (see [`crate::sync`]). The engine pops events
 //! in `(time, sequence)` order, so runs are bit-for-bit deterministic:
 //! same inputs, same event interleaving, same results.
@@ -25,7 +25,7 @@ use std::task::{Context, Poll, Waker};
 
 use crate::policy::{self, Candidate, PolicyHandle};
 use crate::time::SimTime;
-use crate::wheel::{TimerWheel, WakeEvent};
+use crate::wheel::{EventQueue, WakeEvent};
 
 /// Identifies a spawned simulation process.
 ///
@@ -38,7 +38,7 @@ pub struct TaskId {
 }
 
 impl TaskId {
-    /// Test-only constructor so the wheel's property tests can fabricate
+    /// Test-only constructor so the event queue's tests can fabricate
     /// event payloads without spawning tasks.
     #[cfg(test)]
     pub(crate) const fn from_parts(idx: u32, gen: u32) -> Self {
@@ -89,7 +89,7 @@ struct Slot {
 /// Counters describing how much work the engine performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Number of timed events popped from the wheel.
+    /// Number of timed events popped from the event queue.
     pub events: u64,
     /// Number of future polls (including spurious ones).
     pub polls: u64,
@@ -145,7 +145,7 @@ type TaskFut = Pin<Box<dyn Future<Output = ()>>>;
 
 struct Core {
     seq: u64,
-    wheel: TimerWheel,
+    timers: EventQueue,
     ready: VecDeque<TaskId>,
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -209,7 +209,7 @@ impl Sim {
                 now: Cell::new(SimTime::ZERO),
                 core: RefCell::new(Core {
                     seq: 0,
-                    wheel: TimerWheel::new(),
+                    timers: EventQueue::new(),
                     // Seed the arena and ready queue with room for a few
                     // dozen tasks: spawn-heavy setups otherwise pay a
                     // cascade of doubling reallocations copying slot
@@ -346,7 +346,7 @@ impl Sim {
         let mut c = self.sh.core.borrow_mut();
         let seq = c.seq;
         c.seq += 1;
-        c.wheel.push(WakeEvent {
+        c.timers.push(WakeEvent {
             time: at,
             seq,
             task,
@@ -403,7 +403,7 @@ impl Sim {
         if !*scheduled {
             let seq = c.seq;
             c.seq += 1;
-            c.wheel.push(WakeEvent {
+            c.timers.push(WakeEvent {
                 time: deadline,
                 seq,
                 task,
@@ -437,7 +437,7 @@ impl Sim {
     }
 
     /// Decide the next runnable task: drain the ready queue, then pop the
-    /// wheel (advancing the clock), skipping stale wake-ups without
+    /// event queue (advancing the clock), skipping stale wake-ups without
     /// releasing the borrow. Timed wake-ups poll the woken task directly
     /// instead of cycling it through the ready queue; validity
     /// (generation, done) is checked by `take_future`, so stale wake-ups
@@ -481,9 +481,9 @@ impl Sim {
                 park(c, &mut carried);
                 return Step::Finished(self.sh.now.get());
             }
-            match c.wheel.pop() {
+            match c.timers.pop() {
                 Some(ev) => {
-                    debug_assert!(ev.time >= self.sh.now.get(), "event wheel went backwards");
+                    debug_assert!(ev.time >= self.sh.now.get(), "event queue went backwards");
                     c.stats.events += 1;
                     if ev.time > self.sh.now.get() {
                         self.sh.now.set(ev.time);
@@ -522,7 +522,7 @@ impl Sim {
     }
 
     /// Policy-mode task selection: the same drain discipline as
-    /// [`Sim::next_step`] — ready queue first, then the timer wheel — but
+    /// [`Sim::next_step`] — ready queue first, then the event queue — but
     /// every point where more than one task could legally run next is
     /// delegated to the installed [`crate::policy::SchedulePolicy`].
     /// Choosing index 0 at every point reproduces the canonical engine
@@ -535,9 +535,9 @@ impl Sim {
     ///   observable changes.
     /// - Stale ready-queue ids are dropped silently, exactly as the
     ///   canonical `take_future` skip does (no counters touched).
-    /// - Every wheel event is counted in `stats.events` exactly once, at
+    /// - Every timed event is counted in `stats.events` exactly once, at
     ///   consumption: stale events when dropped from a batch, live events
-    ///   when chosen. Unchosen live events go *back* to the wheel
+    ///   when chosen. Unchosen live events go *back* to the queue
     ///   uncounted (they will be popped again).
     /// - The clock advances to a batch's timestamp even when the whole
     ///   batch is stale, matching the canonical pop loop.
@@ -585,12 +585,12 @@ impl Sim {
                 return Step::Finished(self.sh.now.get());
             }
             batch.clear();
-            c.wheel.pop_batch(&mut batch);
+            c.timers.pop_batch(&mut batch);
             if batch.is_empty() {
                 return Step::Stuck(self.diagnose(c));
             }
             let t = batch[0].time;
-            debug_assert!(t >= self.sh.now.get(), "event wheel went backwards");
+            debug_assert!(t >= self.sh.now.get(), "event queue went backwards");
             if t > self.sh.now.get() {
                 self.sh.now.set(t);
             }
@@ -623,7 +623,7 @@ impl Sim {
             let k = policy.borrow_mut().choose(t, &cands).min(cands.len() - 1);
             for (i, ev) in live_events.iter().enumerate() {
                 if i != k {
-                    c.wheel.push(*ev);
+                    c.timers.push(*ev);
                 }
             }
             let chosen = live_events[k];

@@ -39,8 +39,8 @@ pub struct Candidate {
     /// FNV-1a hash of the task's spawn name — a stable label for state
     /// signatures that does not depend on slot or generation numbers.
     pub name_hash: u64,
-    /// `true` when the candidate comes from a timed wake-up (the timer
-    /// wheel), `false` when it comes from the ready queue.
+    /// `true` when the candidate comes from a timed wake-up (the event
+    /// queue), `false` when it comes from the ready queue.
     pub timed: bool,
 }
 

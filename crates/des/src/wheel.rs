@@ -1,61 +1,19 @@
-//! The engine's timed-event queue: a hierarchical timing wheel (calendar
-//! queue) keyed on integer-nanosecond virtual time.
+//! The engine's timed-event queue: a binary min-heap keyed on
+//! `(time, seq)`, where `time` is integer-nanosecond virtual time and
+//! `seq` the global schedule sequence number.
 //!
-//! The wheel replaces the original `BinaryHeap<Reverse<WakeEvent>>` (kept
-//! below as a test oracle, [`heap_ref`]) with O(1) amortized push/pop at
-//! any queue size, while preserving the heap's *exact* total order:
-//! events leave in ascending `(time, seq)` order, bit for bit.
-//!
-//! # Structure
-//!
-//! Eleven levels of 64 slots each; level `g` buckets events by bits
-//! `[6g, 6g+6)` of their absolute timestamp, so the levels together cover
-//! the full 64-bit nanosecond range (level 10 holds the top 4 bits, which
-//! is where the `SimTime::MAX` "infinitely far" sentinel lands). An event
-//! is placed by the highest 6-bit group in which its timestamp differs
-//! from the wheel cursor:
-//!
-//! ```text
-//! level  = highest_set_bit(time XOR cursor) / 6
-//! slot   = (time >> 6*level) & 63
-//! ```
-//!
-//! XOR placement gives the two invariants the determinism argument needs:
-//!
-//! 1. *Single owner per slot*: every event resident at level `g` agrees
-//!    with the cursor on all bits above `6(g+1)` (otherwise it would lie
-//!    in the past, and the cursor never passes an unpopped event), so all
-//!    events in one slot share the same `time >> 6g` value. At level 0
-//!    that means one exact timestamp per slot.
-//! 2. *Strict cascade descent*: when the cursor advances into a slot's
-//!    time range, re-placing its events lands them at a strictly lower
-//!    level (their group-`g` bits now match the cursor), so cascades
-//!    terminate and each event moves at most `LEVELS` times.
-//!
-//! # Determinism
-//!
-//! Within a slot, events are kept sorted by `seq` (pushes from the running
-//! simulation are already monotonic, so this is an append; only a cascade
-//! can splice an older event into a slot that already received a newer
-//! direct insert). A pop first drains the level-0 slot whose timestamp is
-//! minimal — but only after every higher-level slot whose time range
-//! *could* reach that timestamp has been cascaded down, so all same-time
-//! events are gathered in one seq-sorted slot before the first of them is
-//! released. Events pushed *at* the current time while the slot drains
-//! carry larger `seq` values than everything already drained and are
-//! appended behind the drain position. The result is exactly the heap's
-//! `(time, seq)` order.
-//!
-//! Slot vectors and the drain buffer are recycled, so a steady-state
-//! simulation allocates nothing here.
+//! Events leave in ascending `(time, seq)` order, so same-time wake-ups
+//! fire in the order they were scheduled and runs are bit-for-bit
+//! deterministic. Push and pop are O(log n); the heap keeps its capacity,
+//! so a steady-state simulation allocates nothing here. (The module is
+//! named for the hierarchical timing wheel it held before; DESIGN.md §4
+//! compares the two.)
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::engine::TaskId;
 use crate::time::SimTime;
-
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS; // 64 slots per level
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-const LEVELS: usize = 11; // 11 * 6 = 66 bits >= the full u64 range
 
 /// A scheduled wake-up: poll `task` once virtual time reaches `time`.
 /// `seq` is the global schedule sequence number and breaks same-time ties.
@@ -66,244 +24,76 @@ pub(crate) struct WakeEvent {
     pub(crate) task: TaskId,
 }
 
-/// One level's 64 buckets, allocated on first use: most simulations only
-/// ever touch two or three levels, and an empty wheel must cost nothing —
-/// scale runs create one `Sim` per parameter point.
-type Level = [Vec<WakeEvent>; SLOTS];
+/// Heap entry: the greatest entry is the earliest `(time, seq)`.
+struct Entry(WakeEvent);
 
-fn new_level() -> Box<Level> {
-    Box::new([const { Vec::new() }; SLOTS])
+impl Entry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.0.time, self.0.seq)
+    }
 }
 
-pub(crate) struct TimerWheel {
-    /// Current position; equals the timestamp of the last popped event.
-    /// All resident events have `time >= cursor`.
-    cursor: u64,
-    /// Per-level buckets, each sorted by `seq`; `None` until first used.
-    levels: [Option<Box<Level>>; LEVELS],
-    /// Per-level occupancy bitmap: bit `i` set iff slot `i` is non-empty.
-    occupied: [u64; LEVELS],
-    /// Bit `g` set iff `occupied[g] != 0` — lets `pop` visit only live levels.
-    live_levels: u16,
-    /// The level-0 slot currently being handed out, plus the read position.
-    /// Same-time pushes land in the (now empty) level-0 slot and are
-    /// picked up after this buffer runs dry, preserving seq order.
-    current: Vec<WakeEvent>,
-    current_pos: usize,
-    len: usize,
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
 }
 
-impl TimerWheel {
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+#[derive(Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Entry>,
+}
+
+impl EventQueue {
     pub(crate) fn new() -> Self {
-        TimerWheel {
-            cursor: 0,
-            levels: [const { None }; LEVELS],
-            occupied: [0; LEVELS],
-            live_levels: 0,
-            current: Vec::new(),
-            current_pos: 0,
-            len: 0,
-        }
+        Self::default()
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// (level, slot) for an event at absolute time `t`, given the cursor.
-    #[inline]
-    fn place(&self, t: u64) -> (usize, usize) {
-        let x = t ^ self.cursor;
-        let g = if x == 0 {
-            0
-        } else {
-            (63 - x.leading_zeros() as usize) / SLOT_BITS as usize
-        };
-        (g, ((t >> (SLOT_BITS * g as u32)) & SLOT_MASK) as usize)
-    }
-
-    /// Insert without touching `len` (shared by push and cascade).
-    #[inline]
-    fn insert(&mut self, ev: WakeEvent) {
-        debug_assert!(
-            ev.time.as_nanos() >= self.cursor,
-            "wheel push into the past"
-        );
-        let (g, i) = self.place(ev.time.as_nanos());
-        let slot = &mut self.levels[g].get_or_insert_with(new_level)[i];
-        // Seq values arrive monotonically from the engine, so this is an
-        // append except when a cascade replays an old event into a slot
-        // that already took a newer direct insert.
-        match slot.last() {
-            Some(last) if last.seq > ev.seq => {
-                let at = slot.partition_point(|e| e.seq < ev.seq);
-                slot.insert(at, ev);
-            }
-            _ => slot.push(ev),
-        }
-        self.occupied[g] |= 1 << i;
-        self.live_levels |= 1 << g;
+        self.heap.len()
     }
 
     pub(crate) fn push(&mut self, ev: WakeEvent) {
-        self.insert(ev);
-        self.len += 1;
+        self.heap.push(Entry(ev));
     }
 
     /// Remove and return the earliest event by `(time, seq)`.
     pub(crate) fn pop(&mut self) -> Option<WakeEvent> {
-        if self.current_pos < self.current.len() {
-            let ev = self.current[self.current_pos];
-            self.current_pos += 1;
-            self.len -= 1;
-            return Some(ev);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Candidate = the slot with the smallest possible event time.
-            // For level 0 that bound is exact; for higher levels it is the
-            // start of the slot's time range. Ties prefer the *higher*
-            // level: a far-scheduled event can share a timestamp with a
-            // near-scheduled one, and it must be cascaded down first so
-            // the lower seq wins.
-            let mut found = false;
-            let mut best_start = u64::MAX;
-            let mut best_g = 0usize;
-            let mut best_i = 0usize;
-            let mut levels = self.live_levels;
-            while levels != 0 {
-                let g = levels.trailing_zeros() as usize;
-                levels &= levels - 1;
-                let shift = SLOT_BITS * g as u32;
-                let ctick = self.cursor >> shift;
-                // Resident ticks lie in [ctick, ctick + 63]; rotating the
-                // bitmap by the cursor's slot index makes the earliest
-                // tick the lowest set bit.
-                let k = self.occupied[g]
-                    .rotate_right((ctick & SLOT_MASK) as u32)
-                    .trailing_zeros() as u64;
-                let vtick = ctick + k;
-                // vtick << shift cannot overflow: vtick is a real event
-                // timestamp's upper bits (events in the past are impossible).
-                let start = self.cursor.max(vtick << shift);
-                if !found || start < best_start || (start == best_start && g > best_g) {
-                    found = true;
-                    best_start = start;
-                    best_g = g;
-                    best_i = (vtick & SLOT_MASK) as usize;
-                }
-            }
-            debug_assert!(found, "len > 0 but no occupied slot");
-            self.cursor = best_start;
-            self.occupied[best_g] &= !(1 << best_i);
-            if self.occupied[best_g] == 0 {
-                self.live_levels &= !(1 << best_g);
-            }
-            let slot = &mut self.levels[best_g]
-                .as_mut()
-                .expect("occupied level is allocated")[best_i];
-            if best_g == 0 {
-                // Exact minimum: the whole slot shares this timestamp and
-                // is seq-sorted.
-                self.len -= 1;
-                if slot.len() == 1 {
-                    // Lone sleeper — the overwhelmingly common case.
-                    let ev = slot[0];
-                    slot.clear();
-                    return Some(ev);
-                }
-                // Swap the burst into the drain buffer (the old buffer's
-                // capacity is recycled into the empty slot).
-                self.current.clear();
-                self.current_pos = 1;
-                std::mem::swap(&mut self.current, slot);
-                return Some(self.current[0]);
-            }
-            // Cascade: the cursor has reached this slot's time range, so
-            // every event re-places at a strictly lower level.
-            let mut v = std::mem::take(slot);
-            for ev in v.drain(..) {
-                self.insert(ev);
-            }
-            // Keep the capacity.
-            self.levels[best_g].as_mut().expect("level allocated")[best_i] = v;
-        }
+        self.heap.pop().map(|e| e.0)
     }
 
     /// Remove the *entire burst* of events sharing the minimal timestamp,
-    /// appending them to `out` in `seq` order. Equivalent to popping until
-    /// the head timestamp changes, but without over-popping: the cursor
-    /// never advances past the burst's timestamp, so pushes at that
-    /// timestamp (from the task about to run) remain legal. This is the
-    /// policy-mode engine's view (see [`crate::policy`]): every same-tick
-    /// wake-up is a reordering candidate, so it must see them all at once.
+    /// appending them to `out` in `seq` order. This is the policy-mode
+    /// engine's view (see [`crate::policy`]): every same-tick wake-up is a
+    /// reordering candidate, so it must see them all at once. Unchosen
+    /// candidates are pushed back with their original `seq` and come out
+    /// again ahead of any later timestamp.
     pub(crate) fn pop_batch(&mut self, out: &mut Vec<WakeEvent>) {
         let Some(first) = self.pop() else { return };
         out.push(first);
-        // After a pop at time t, every other event at t is already in the
-        // drain buffer: cascades complete before the first same-time event
-        // is released, and a level-0 slot holds one exact timestamp (see
-        // the module notes). A lone sleeper leaves the buffer exhausted.
-        while self.current_pos < self.current.len() {
-            let ev = self.current[self.current_pos];
-            debug_assert_eq!(ev.time, first.time, "drain buffer spans timestamps");
-            self.current_pos += 1;
-            self.len -= 1;
-            out.push(ev);
-        }
-    }
-}
-
-/// The pre-wheel event queue — a plain binary heap ordered by
-/// `(time, seq)` — kept as the oracle the property tests below drive in
-/// lockstep with the wheel.
-#[cfg(test)]
-pub(crate) mod heap_ref {
-    use super::WakeEvent;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq, Eq)]
-    struct Ordered(WakeEvent);
-
-    impl Ord for Ordered {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.0.time, self.0.seq).cmp(&(other.0.time, other.0.seq))
-        }
-    }
-
-    impl PartialOrd for Ordered {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    #[derive(Default)]
-    pub(crate) struct HeapQueue {
-        heap: BinaryHeap<Reverse<Ordered>>,
-    }
-
-    impl HeapQueue {
-        pub(crate) fn new() -> Self {
-            Self::default()
-        }
-
-        pub(crate) fn push(&mut self, ev: WakeEvent) {
-            self.heap.push(Reverse(Ordered(ev)));
-        }
-
-        pub(crate) fn pop(&mut self) -> Option<WakeEvent> {
-            self.heap.pop().map(|Reverse(Ordered(ev))| ev)
+        while self.heap.peek().is_some_and(|e| e.0.time == first.time) {
+            out.push(self.pop().expect("peeked"));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::heap_ref::HeapQueue;
     use super::*;
     use proptest::prelude::*;
 
@@ -315,25 +105,47 @@ mod tests {
         }
     }
 
-    /// Drive the wheel and the old heap through the same schedule and
-    /// require identical pop sequences. `deltas[i]` schedules an event at
-    /// `now + delta` (like the engine, never in the past); every `pops`-th
-    /// step drains one event from both queues and advances `now`.
+    /// The reference order: a vector kept sorted by `(time, seq)`,
+    /// popped from the front.
+    #[derive(Default)]
+    struct SortedRef(Vec<WakeEvent>);
+
+    impl SortedRef {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn push(&mut self, e: WakeEvent) {
+            let at = self
+                .0
+                .partition_point(|x| (x.time, x.seq) < (e.time, e.seq));
+            self.0.insert(at, e);
+        }
+
+        fn pop(&mut self) -> Option<WakeEvent> {
+            (!self.0.is_empty()).then(|| self.0.remove(0))
+        }
+    }
+
+    /// Drive the queue and the sorted reference through the same schedule
+    /// and require identical pop sequences. `deltas[i]` schedules an event
+    /// at `now + delta` (like the engine, never in the past); every
+    /// `pop_every`-th step pops one event from both and advances `now`.
     fn lockstep(deltas: &[u64], pop_every: usize) {
-        let mut wheel = TimerWheel::new();
-        let mut heap = HeapQueue::new();
+        let mut queue = EventQueue::new();
+        let mut reference = SortedRef::new();
         let mut now = 0u64;
         let mut pushed = 0usize;
         let mut popped = 0usize;
         for (i, &d) in deltas.iter().enumerate() {
             let e = ev(now.saturating_add(d), i as u64);
-            wheel.push(e);
-            heap.push(e);
+            queue.push(e);
+            reference.push(e);
             pushed += 1;
             if pop_every != 0 && i % pop_every == 0 {
-                let (w, h) = (wheel.pop(), heap.pop());
-                assert_eq!(w, h, "wheel diverged from heap at step {i}");
-                if let Some(e) = w {
+                let (q, r) = (queue.pop(), reference.pop());
+                assert_eq!(q, r, "queue diverged from the reference at step {i}");
+                if let Some(e) = q {
                     assert!(e.time.as_nanos() >= now, "time went backwards");
                     now = e.time.as_nanos();
                     popped += 1;
@@ -342,9 +154,9 @@ mod tests {
         }
         // Drain the rest.
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h, "wheel diverged from heap in final drain");
-            match w {
+            let (q, r) = (queue.pop(), reference.pop());
+            assert_eq!(q, r, "queue diverged from the reference in final drain");
+            match q {
                 Some(e) => {
                     assert!(e.time.as_nanos() >= now);
                     now = e.time.as_nanos();
@@ -354,26 +166,25 @@ mod tests {
             }
         }
         assert_eq!(popped, pushed);
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(queue.len(), 0);
     }
 
     proptest! {
-        /// Satellite coverage: the same randomized event schedule through
-        /// the old heap and the new wheel must produce identical wake
-        /// order and virtual timestamps.
+        /// A randomized event schedule pops in the reference's wake order
+        /// and virtual timestamps.
         #[test]
-        fn wheel_matches_heap_on_random_schedules(
+        fn queue_matches_sorted_reference_on_random_schedules(
             deltas in prop::collection::vec(0u64..5000, 1..200),
             pop_every in 1usize..8,
         ) {
             lockstep(&deltas, pop_every);
         }
 
-        /// Same, with deltas spanning every wheel level (including the
-        /// far-future range where `SimTime::MAX`-like sentinels live).
-        /// Each raw pair picks a magnitude band and an offset within it.
+        /// Same, with deltas spanning nanoseconds to the far-future range
+        /// where `SimTime::MAX`-like sentinels live. Each raw pair picks a
+        /// magnitude band and an offset within it.
         #[test]
-        fn wheel_matches_heap_across_levels(
+        fn queue_matches_sorted_reference_across_magnitudes(
             raw in prop::collection::vec((0u64..6, 0u64..u64::MAX), 1..120),
             pop_every in 1usize..6,
         ) {
@@ -392,34 +203,32 @@ mod tests {
         }
     }
 
-    /// Zero-delay / same-tick tiebreak regression: an event scheduled far
-    /// in advance (parked at a high wheel level) and one scheduled just
-    /// before the deadline (level 0) collide on the same nanosecond; the
-    /// earlier-scheduled (lower seq) event must pop first, exactly as the
-    /// heap orders it. This is the cascade-before-drain corner.
+    /// Same-tick tiebreak: an event scheduled far in advance and one
+    /// scheduled just before the deadline collide on the same nanosecond;
+    /// the earlier-scheduled (lower seq) event must pop first.
     #[test]
     fn same_tick_far_and_near_schedules_pop_in_seq_order() {
-        let mut wheel = TimerWheel::new();
-        let mut heap = HeapQueue::new();
-        // seq 0: scheduled at t=0 for t=1000 -> lands at level 1.
-        // seq 1: fires at 990 to advance the cursor close to the deadline.
-        // seq 2: scheduled (after the 990 pop) for t=1000 -> level 0.
+        let mut queue = EventQueue::new();
+        let mut reference = SortedRef::new();
+        // seq 0: scheduled at t=0 for t=1000.
+        // seq 1: fires at 990 to advance the clock close to the deadline.
+        // seq 2: scheduled (after the 990 pop) for t=1000.
         for e in [ev(1000, 0), ev(990, 1)] {
-            wheel.push(e);
-            heap.push(e);
+            queue.push(e);
+            reference.push(e);
         }
-        assert_eq!(wheel.pop(), heap.pop()); // 990 fires
-        wheel.push(ev(1000, 2));
-        heap.push(ev(1000, 2));
+        assert_eq!(queue.pop(), reference.pop()); // 990 fires
+        queue.push(ev(1000, 2));
+        reference.push(ev(1000, 2));
         assert_eq!(
-            wheel.pop(),
+            queue.pop(),
             Some(ev(1000, 0)),
             "far schedule must win the tie"
         );
-        assert_eq!(heap.pop(), Some(ev(1000, 0)));
-        assert_eq!(wheel.pop(), Some(ev(1000, 2)));
-        assert_eq!(heap.pop(), Some(ev(1000, 2)));
-        assert_eq!(wheel.pop(), None);
+        assert_eq!(reference.pop(), Some(ev(1000, 0)));
+        assert_eq!(queue.pop(), Some(ev(1000, 2)));
+        assert_eq!(reference.pop(), Some(ev(1000, 2)));
+        assert_eq!(queue.pop(), None);
     }
 
     /// Zero-delay events pushed while their timestamp is being drained
@@ -427,72 +236,71 @@ mod tests {
     /// push order — the "schedule at now during the tick" case.
     #[test]
     fn zero_delay_pushes_during_drain_keep_schedule_order() {
-        let mut wheel = TimerWheel::new();
+        let mut queue = EventQueue::new();
         for s in 0..3 {
-            wheel.push(ev(7, s));
+            queue.push(ev(7, s));
         }
-        assert_eq!(wheel.pop(), Some(ev(7, 0)));
+        assert_eq!(queue.pop(), Some(ev(7, 0)));
         // Mid-drain, two more events land on the same tick.
-        wheel.push(ev(7, 3));
-        wheel.push(ev(7, 4));
+        queue.push(ev(7, 3));
+        queue.push(ev(7, 4));
         for s in 1..5 {
-            assert_eq!(wheel.pop(), Some(ev(7, s)), "seq {s} out of order");
+            assert_eq!(queue.pop(), Some(ev(7, s)), "seq {s} out of order");
         }
-        assert_eq!(wheel.pop(), None);
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(queue.pop(), None);
+        assert_eq!(queue.len(), 0);
     }
 
     /// `pop_batch` must hand out exactly the same-time burst — in seq
-    /// order — and leave the cursor at the burst's timestamp so same-time
-    /// push-backs stay legal.
+    /// order — and accept same-time push-backs afterwards.
     #[test]
     fn pop_batch_returns_whole_burst_and_allows_same_time_pushback() {
-        let mut wheel = TimerWheel::new();
+        let mut queue = EventQueue::new();
         for e in [ev(50, 0), ev(10, 1), ev(50, 2), ev(10, 3), ev(1000, 4)] {
-            wheel.push(e);
+            queue.push(e);
         }
         let mut out = Vec::new();
-        wheel.pop_batch(&mut out);
+        queue.pop_batch(&mut out);
         assert_eq!(out, vec![ev(10, 1), ev(10, 3)]);
         // A push at the batch time (e.g. the policy returning an unchosen
         // candidate) must come back out before later timestamps.
-        wheel.push(ev(10, 5));
+        queue.push(ev(10, 5));
         out.clear();
-        wheel.pop_batch(&mut out);
+        queue.pop_batch(&mut out);
         assert_eq!(out, vec![ev(10, 5)]);
         out.clear();
-        wheel.pop_batch(&mut out);
+        queue.pop_batch(&mut out);
         assert_eq!(out, vec![ev(50, 0), ev(50, 2)]);
         out.clear();
-        wheel.pop_batch(&mut out);
+        queue.pop_batch(&mut out);
         assert_eq!(out, vec![ev(1000, 4)]);
         out.clear();
-        wheel.pop_batch(&mut out);
+        queue.pop_batch(&mut out);
         assert!(out.is_empty());
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(queue.len(), 0);
     }
 
     proptest! {
-        /// Batched pops must agree with the heap oracle popped burst-wise:
-        /// each batch is one timestamp, internally seq-sorted, and the
-        /// concatenation of batches is the heap's total order.
+        /// Batched pops agree with the reference popped burst-wise: each
+        /// batch is one timestamp, internally seq-sorted, and the
+        /// concatenation of batches is the reference's total order.
         #[test]
-        fn pop_batch_matches_heap_on_random_schedules(
+        fn pop_batch_matches_sorted_reference_on_random_schedules(
             deltas in prop::collection::vec(0u64..500, 1..150),
         ) {
-            let mut wheel = TimerWheel::new();
-            let mut heap = HeapQueue::new();
+            let mut queue = EventQueue::new();
+            let mut reference = SortedRef::new();
             let mut now = 0u64;
             let mut out = Vec::new();
             for (i, &d) in deltas.iter().enumerate() {
                 let e = ev(now.saturating_add(d), i as u64);
-                wheel.push(e);
-                heap.push(e);
+                queue.push(e);
+                reference.push(e);
                 if i % 3 == 0 {
                     out.clear();
-                    wheel.pop_batch(&mut out);
+                    queue.pop_batch(&mut out);
                     for e in &out {
-                        prop_assert_eq!(heap.pop(), Some(*e));
+                        prop_assert_eq!(reference.pop(), Some(*e));
                         prop_assert_eq!(e.time, out[0].time);
                     }
                     if let Some(last) = out.last() {
@@ -502,34 +310,34 @@ mod tests {
             }
             loop {
                 out.clear();
-                wheel.pop_batch(&mut out);
+                queue.pop_batch(&mut out);
                 if out.is_empty() {
                     break;
                 }
                 for e in &out {
-                    prop_assert_eq!(heap.pop(), Some(*e));
+                    prop_assert_eq!(reference.pop(), Some(*e));
                     prop_assert_eq!(e.time, out[0].time);
                 }
             }
-            prop_assert_eq!(heap.pop(), None);
-            prop_assert_eq!(wheel.len(), 0);
+            prop_assert_eq!(reference.pop(), None);
+            prop_assert_eq!(queue.len(), 0);
         }
     }
 
     #[test]
     fn empty_wheel_pops_none() {
-        let mut wheel = TimerWheel::new();
-        assert_eq!(wheel.pop(), None);
-        assert_eq!(wheel.len(), 0);
+        let mut queue = EventQueue::new();
+        assert_eq!(queue.pop(), None);
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
     fn max_sentinel_coexists_with_near_events() {
-        let mut wheel = TimerWheel::new();
-        wheel.push(ev(u64::MAX, 0)); // "never" sentinel
-        wheel.push(ev(5, 1));
-        assert_eq!(wheel.pop(), Some(ev(5, 1)));
-        assert_eq!(wheel.pop(), Some(ev(u64::MAX, 0)));
-        assert_eq!(wheel.pop(), None);
+        let mut queue = EventQueue::new();
+        queue.push(ev(u64::MAX, 0)); // "never" sentinel
+        queue.push(ev(5, 1));
+        assert_eq!(queue.pop(), Some(ev(5, 1)));
+        assert_eq!(queue.pop(), Some(ev(u64::MAX, 0)));
+        assert_eq!(queue.pop(), None);
     }
 }

@@ -142,3 +142,37 @@ fn replay_refuses_invalid_scenarios_and_oversized_choices() {
         );
     }
 }
+
+/// A counterexample whose seed is written `0152` is not JSON (RFC 8259
+/// forbids a leading zero): `s3a-mc replay` refuses the file with exit 2
+/// instead of replaying seed 152.
+#[test]
+fn replay_refuses_a_seed_written_with_a_leading_zero() {
+    let mut scenario = Scenario::failover(Strategy::Mw, 2, 8);
+    scenario.seed = 152;
+    let cx = Counterexample {
+        scenario,
+        crash_variant: 0,
+        crashes: vec![(1, 40_000_000)],
+        choices: vec![],
+        violation: "recorded".to_string(),
+    };
+    let text = cx.to_json().pretty();
+    let edited = text.replace("\"seed\": 152,", "\"seed\": 0152,");
+    assert_ne!(edited, text, "the edit must hit the seed field");
+    assert!(json::parse(&edited).is_err(), "0152 is not a JSON number");
+
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("leading_zero_seed.json");
+    std::fs::write(&path, &edited).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_s3a-mc"))
+        .arg("replay")
+        .arg(&path)
+        .output()
+        .expect("s3a-mc runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stdout {:?}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}

@@ -708,6 +708,35 @@ impl Comm {
         self.world.fail(self.members.to_world(self.rank));
     }
 
+    /// Duplicate this communicator: same members and ranks, a fresh
+    /// matching context. The context id is the one [`Comm::sub`] assigns
+    /// for `key` with every member listed in rank order, but the member
+    /// table is shared with this communicator, so a world duplicate keeps
+    /// its O(1) identity map. Every member must call `dup` with the same
+    /// `key`.
+    pub fn dup(&self, key: &str) -> Comm {
+        Comm {
+            world: Rc::clone(&self.world),
+            context: self.context_for(key),
+            rank: self.rank,
+            members: self.members.clone(),
+            coll_seq: Cell::new(0),
+        }
+    }
+
+    /// The matching context for child `key` of this communicator,
+    /// assigned on first use.
+    fn context_for(&self, key: &str) -> u32 {
+        let full_key = format!("ctx{}:{}", self.context, key);
+        let mut map = self.world.contexts.borrow_mut();
+        let next = &self.world.next_context;
+        *map.entry(full_key).or_insert_with(|| {
+            let id = next.get();
+            next.set(id + 1);
+            id
+        })
+    }
+
     /// Create a sub-communicator containing `local_members` (local ranks of
     /// this communicator, in the order that defines the new numbering).
     /// Every member must call `sub` with the same arguments; `key` ties the
@@ -717,16 +746,7 @@ impl Comm {
             .iter()
             .position(|&m| m == self.rank)
             .expect("calling rank must be a member of the sub-communicator");
-        let full_key = format!("ctx{}:{}", self.context, key);
-        let context = {
-            let mut map = self.world.contexts.borrow_mut();
-            let next = &self.world.next_context;
-            *map.entry(full_key).or_insert_with(|| {
-                let id = next.get();
-                next.set(id + 1);
-                id
-            })
-        };
+        let context = self.context_for(key);
         // One member table per sub-communicator, built by whichever rank
         // gets here first — every member calls with the same arguments, so
         // the later callers just bump a refcount instead of allocating

@@ -108,8 +108,7 @@ impl File {
     /// `open` with the same name and hints; each member gets its own
     /// `File` whose internal communicator is a duplicate of `comm`.
     pub fn open(comm: &Comm, fs: &FileSystem, name: &str, hints: Hints) -> File {
-        let members: Vec<usize> = (0..comm.size()).collect();
-        let dup = comm.sub(&members, &format!("mpiio:{name}"));
+        let dup = comm.dup(&format!("mpiio:{name}"));
         let ep = comm.endpoint();
         let world_rank = comm.world_rank(comm.rank());
         File {

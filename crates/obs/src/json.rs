@@ -300,16 +300,22 @@ impl Parser<'_> {
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
                         b'u' => {
-                            if self.pos + 4 > self.b.len() {
-                                return Err(self.err("truncated \\u escape"));
+                            let mut code = self.hex4()?;
+                            // A high surrogate followed by a `\u` low
+                            // surrogate encodes one character; any other
+                            // surrogate is unpaired and decodes to U+FFFD.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.b[self.pos..].starts_with(b"\\u")
+                            {
+                                let save = self.pos;
+                                self.pos += 2;
+                                match self.hex4()? {
+                                    low @ 0xdc00..0xe000 => {
+                                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    }
+                                    _ => self.pos = save,
+                                }
                             }
-                            let hex = std::str::from_utf8(&self.b[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for our traces;
-                            // map unpaired surrogates to the replacement char.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -329,18 +335,37 @@ impl Parser<'_> {
         }
     }
 
+    /// The four hex digits of a `\u` escape, as a code unit.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self
+            .b
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| self.err("non-utf8 \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// One RFC 8259 number: an optional `-`, then `0` or a digit run
+    /// without a leading zero, then optionally `.` and at least one
+    /// digit, then optionally `e`/`E`, a sign and at least one digit.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        match self.digits() {
+            0 => return Err(self.err("bad number")),
+            n if n > 1 && self.b[self.pos - n] == b'0' => {
+                return Err(self.err("leading zero in number"))
+            }
+            _ => {}
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("no digit after '.'"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -348,8 +373,8 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("no digit in exponent"));
             }
         }
         let text = std::str::from_utf8(&self.b[start..self.pos]).expect("ascii");
@@ -359,6 +384,15 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
+    }
+
+    /// Skip a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -505,6 +539,44 @@ mod tests {
         assert!(parse("{\"a\": 1} x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        let bad = "01 -01 00 0152 1. -1. 1.e3 .5 - --1 1e 1e+ 1E- +1 [01] {\"seed\":0152}";
+        for bad in bad.split(' ') {
+            assert!(parse(bad).is_err(), "{bad:?} is not JSON");
+        }
+        for (good, v) in [
+            ("0", Value::Int(0)),
+            ("10", Value::Int(10)),
+            ("-0", Value::Num(-0.0)),
+            ("0.5", Value::Num(0.5)),
+            ("-10.25", Value::Num(-10.25)),
+            ("0e0", Value::Num(0.0)),
+            ("1E+2", Value::Num(100.0)),
+            ("2e-1", Value::Num(0.2)),
+        ] {
+            assert_eq!(parse(good).unwrap(), v, "{good:?}");
+        }
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs() {
+        let v = parse(r#""a\ud83d\ude00b""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1f600}b"));
+        // Unpaired surrogates still decode to U+FFFD, one per escape, and
+        // the escape after a lone high surrogate is read on its own.
+        for (doc, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
     }
 
     #[test]

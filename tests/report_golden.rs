@@ -162,6 +162,36 @@ fn points() -> Vec<(String, Box<dyn Fn() -> RunReport>)> {
             r
         }),
     ));
+    // A deep queue: arrivals outpace the workers, so dozens of queries
+    // from three tenants sit open at once and fair share picks among them.
+    pts.push((
+        "service FairShare deep queue".into(),
+        Box::new(|| {
+            let p = SimParams::builder()
+                .procs(8)
+                .strategy(Strategy::WwList)
+                .with_workload(|w| {
+                    w.queries = 400;
+                    w.fragments = 8;
+                    w.min_results = 50;
+                    w.max_results = 400;
+                })
+                .service(ServiceParams {
+                    arrivals: ArrivalProcess::Poisson { rate: 12.0 },
+                    policy: SchedPolicy::FairShare,
+                    tenants: 3,
+                    queue_capacity: 64,
+                    arrival_seed: 11,
+                    poll_interval: SimTime::from_millis(5),
+                })
+                .build()
+                .expect("valid service configuration");
+            let r = run(&p);
+            let svc = r.service.as_ref().expect("service report");
+            assert_eq!(svc.queue_peak, 64, "the queue must fill");
+            r
+        }),
+    ));
     pts.push((
         "service MW nonblocking".into(),
         Box::new(|| {
@@ -274,7 +304,8 @@ fn digest(mut r: RunReport) -> u64 {
 
 /// Digests captured from the build before the master and worker loops
 /// were folded together (the sharded points from the build before the
-/// shard master joined that loop).
+/// shard master joined that loop, the deep-queue point from the build
+/// before the service queue kept per-tenant open sets).
 const GOLDEN: &[(&str, u64)] = &[
     ("MW fault-free", 0x72669c16ffb90f9b),
     ("MW query-sync", 0x1b749e18f657b914),
@@ -295,6 +326,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("service Sjf", 0x311215c4ad5f9297),
     ("service FairShare", 0x0be13b1cc2285639),
     ("service SJF shedding", 0xe20de0e44429841f),
+    ("service FairShare deep queue", 0x16e6b02eacb64080),
     ("service MW nonblocking", 0xd666b5706edd4226),
     ("WW-POSIX 3 shards", 0x3c4d6f43d112ede4),
     ("WW-DS 2 shards k=2", 0x17e9797df0703cc0),
